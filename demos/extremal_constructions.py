@@ -20,6 +20,7 @@ from induced_trees import (
     is_triangle_free,
     max_induced_tree_exact,
     max_tree_through_vertex_exact,
+    theorem_bound,
 )
 from induced_trees.generators import (
     line_graph_balanced_tree,
@@ -41,7 +42,7 @@ def layered_family():
         worst = min(find_tree_triangle_free(g, v).size for v in range(g.n))
         print(
             f"{m:>3} {g.n:>5} {g.edge_count:>6} {exact:>5} {2 * m - 1:>5}"
-            f" {math.sqrt(g.n):>8.2f} {worst:>13}"
+            f" {theorem_bound(g.n, 3):>8.2f} {worst:>13}"
         )
     print()
     print("The ceiling is tight: every exact maximum lands on 2m-1 exactly,")

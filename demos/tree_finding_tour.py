@@ -15,6 +15,7 @@ from induced_trees import (
     find_tree_triangle_free,
     max_induced_tree_exact,
     reroute_through_vertex,
+    theorem_bound,
     verify_certificate,
 )
 from induced_trees.generators import (
@@ -30,7 +31,7 @@ def triangle_free_tour():
     print("Triangle-free finder: sqrt(n) trees through every vertex")
     print("=" * 72)
     g = random_triangle_free(48, 0.12, seed=2024)
-    need = math.ceil(math.sqrt(g.n))
+    need = math.ceil(theorem_bound(g.n, 3))
     sizes = []
     for v in range(g.n):
         cert = find_tree_triangle_free(g, v)
@@ -48,7 +49,7 @@ def kr_free_tour():
     print("=" * 72)
     for r in (4, 5):
         g = random_kr_free(150, r, 0.05, seed=7 * r)
-        need = math.log(g.n) / (4 * math.log(r))
+        need = theorem_bound(g.n, r)
         worst = min(find_tree_kr_free(g, v, r).size for v in range(g.n))
         print(f"r={r}: n={g.n}, m={g.edge_count}, required {need:.2f}, worst achieved {worst}")
     g = line_graph_balanced_tree(4, 4)

@@ -110,19 +110,13 @@ def _finder_row(suite, name, g, r, roots=None) -> dict:
     """One row aggregating a finder over its roots: achieved = worst size,
     verified = every certificate valid and at least the required bound."""
     started = time.monotonic()
-    if r == 3:
-        required = math.sqrt(g.n)
-        find = lambda v: finders.find_tree_triangle_free(g, v)
-        algorithm = "find-tree-triangle-free"
-    else:
-        required = math.log(g.n) / (4.0 * math.log(r)) if g.n >= 2 else 0.0
-        find = lambda v: finders.find_tree_kr_free(g, v, r)
-        algorithm = "find-tree-kr-free"
+    required = finders.theorem_bound(g.n, r)
+    algorithm = "find-tree-triangle-free" if r == 3 else "find-tree-kr-free"
     roots = roots if roots is not None else _sample_roots(g.n)
     worst = None
     ok = True
     for v in roots:
-        cert = find(v)
+        cert = finders.find_tree(g, v, r)
         if not finders.verify_certificate(g, cert):
             ok = False
         if cert.size < required - finders.BOUND_EPS:
@@ -162,9 +156,7 @@ def suite_triangle_free(seed: int, count: Optional[int] = None) -> list[dict]:
         )
     n_graphs = count if count is not None else 500
     for name, g in triangle_free_ensemble(seed, n_graphs):
-        row = _finder_row("triangle-free", name, g, 3)
-        row["verified"] = row["verified"] and row["bound_achieved"] >= math.ceil(math.sqrt(g.n))
-        rows.append(row)
+        rows.append(_finder_row("triangle-free", name, g, 3))
     return rows
 
 

@@ -5,7 +5,9 @@ Subcommands: gen (constructions to edge-list or instance JSON), find
 verify (check a certificate file), bench (reproducible suite tables).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse/precondition
-errors.  Set INDUCED_TREE_LOG=debug|info for progress logging.
+errors, 3 internal failure (any other exception, e.g. RecursionError; the
+traceback is logged at debug level).  Set INDUCED_TREE_LOG=debug|info for
+progress logging.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -150,12 +151,8 @@ def _cmd_find(args) -> int:
     if args.r < 3:
         raise ValueError("--r must be >= 3")
     started = time.monotonic()
-    if args.r == 3:
-        cert = finders.find_tree_triangle_free(g, args.root)
-        required = math.sqrt(g.n)
-    else:
-        cert = finders.find_tree_kr_free(g, args.root, args.r)
-        required = math.log(g.n) / (4.0 * math.log(args.r)) if g.n >= 2 else 0.0
+    cert = finders.find_tree(g, args.root, args.r)
+    required = finders.theorem_bound(g.n, args.r)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     failure = finders.certificate_failure(g, cert)
     verified = failure is None and cert.size >= required - finders.BOUND_EPS
@@ -262,10 +259,12 @@ def main(argv=None) -> int:
         return _usage_error(f"precondition failure: {exc}")
     except BudgetExceededError as exc:
         return _usage_error(f"budget error: {exc}")
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    except Exception as exc:
+        log.debug("internal failure", exc_info=True)
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

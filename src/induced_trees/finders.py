@@ -17,8 +17,10 @@ Three constructions:
     induced tree of size at least 1 + |T|/2 containing v, built from a
     shortest path into T plus one color class of T's subtree partition.
 
-Recursive subproblems are vertex-region bitmasks over the immutable host
-graph, so no subgraphs are materialized; all finders are pure.
+find_tree(g, v, r) picks between the first two by r; theorem_bound(n, r)
+is the size they guarantee.  Recursive subproblems are vertex-region
+bitmasks over the immutable host graph, so no subgraphs are materialized;
+all finders are pure.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -107,12 +110,27 @@ class TreeCertificate:
         for key in ("root", "vertices", "claimed_bound"):
             if key not in payload:
                 raise ValueError(f"certificate missing '{key}'")
-        return TreeCertificate(
-            vertices=frozenset(payload["vertices"]),
-            root=payload["root"],
-            claimed_bound=float(payload["claimed_bound"]),
-            strategy=payload.get("strategy", ""),
-        )
+        vertices, root = payload["vertices"], payload["root"]
+        bound, strategy = payload["claimed_bound"], payload.get("strategy", "")
+        if not isinstance(vertices, list) or not all(map(_is_id, vertices)):
+            raise ValueError("certificate 'vertices' must be a list of integer ids")
+        if not _is_id(root):
+            raise ValueError("certificate 'root' must be an integer id")
+        if not _is_finite_number(bound):
+            raise ValueError("certificate 'claimed_bound' must be a finite number")
+        if not isinstance(strategy, str):
+            raise ValueError("certificate 'strategy' must be a string")
+        return TreeCertificate(frozenset(vertices), root, float(bound), strategy)
+
+
+def _is_id(x) -> bool:
+    # bool is an int subclass, but `true` is not a vertex id.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    # False for NaN and the infinities, and for ints too large for a float.
+    return (_is_id(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def certificate_failure(g: Graph, cert: TreeCertificate) -> Optional[str]:
@@ -133,12 +151,30 @@ def verify_certificate(g: Graph, cert: TreeCertificate) -> bool:
     return certificate_failure(g, cert) is None
 
 
-def _sqrt_bound(n: int) -> float:
-    return math.sqrt(n) + 1.0 if n >= 1 else 1.0
+def theorem_bound(n: int, r: int) -> float:
+    """The induced-tree size the theorems guarantee through any vertex of a
+    connected K_r-free graph on n vertices: sqrt(n) for r = 3 (triangle-free)
+    and ln(n)/(4 ln r) for r >= 4 (0.0 when n < 2)."""
+    if r < 3:
+        raise ValueError("r must be >= 3")
+    if r == 3:
+        return math.sqrt(n)
+    return math.log(n) / (4.0 * math.log(r)) if n >= 2 else 0.0
 
 
-def _log_bound(n: int, r: int) -> float:
-    return math.log(n) / (4.0 * math.log(r)) + 1.0 if n >= 2 else 1.0
+def _check_input(g: Graph, v: int, r: int = 3, r_min: int = 3) -> None:
+    """The finders' shared preconditions, in order: nonempty graph, root in
+    range, r >= r_min, connectivity."""
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
+    if r < r_min:
+        raise ValueError(f"r must be >= {r_min}")
+    if not is_connected(g):
+        raise FinderPreconditionError(
+            "graph is disconnected", witness=components_of(g)[0]
+        )
 
 
 def _attachment_instance(
@@ -166,14 +202,7 @@ def _unique_attachment(item_nbrs: frozenset[int], chosen_a: frozenset[int], a_li
 def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
     """Induced tree of size >= sqrt(|V|-1) + 1 containing v, in a connected
     triangle-free graph."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if not is_connected(g):
-        raise FinderPreconditionError(
-            "graph is disconnected", witness=components_of(g)[0]
-        )
+    _check_input(g, v)
     triangle = find_triangle(g)
     if triangle is not None:
         raise FinderPreconditionError(
@@ -181,7 +210,7 @@ def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
         )
     full = (1 << g.n) - 1
     verts, strategy = _tf(g, full, v)
-    return TreeCertificate(frozenset(verts), v, _sqrt_bound(g.n - 1), strategy)
+    return TreeCertificate(frozenset(verts), v, theorem_bound(g.n - 1, 3) + 1.0, strategy)
 
 
 def _tf(g: Graph, region: int, v: int) -> tuple[set[int], str]:
@@ -209,16 +238,7 @@ def _tf(g: Graph, region: int, v: int) -> tuple[set[int], str]:
 def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
     """Induced tree of size >= ln(|V|-1)/(4 ln r) + 1 containing v, in a
     connected graph with no clique of size r (r >= 4)."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if r < 4:
-        raise ValueError("r must be >= 4")
-    if not is_connected(g):
-        raise FinderPreconditionError(
-            "graph is disconnected", witness=components_of(g)[0]
-        )
+    _check_input(g, v, r, r_min=4)
     clique = find_clique(g, r)
     if clique is not None:
         raise FinderPreconditionError(
@@ -226,7 +246,7 @@ def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
         )
     full = (1 << g.n) - 1
     verts, strategy = _kr(g, full, v, r)
-    return TreeCertificate(frozenset(verts), v, _log_bound(g.n - 1, r), strategy)
+    return TreeCertificate(frozenset(verts), v, theorem_bound(g.n - 1, r) + 1.0, strategy)
 
 
 def _independent_in(g: Graph, vertex_mask: int, r: int, b: int) -> set[int]:
@@ -278,7 +298,7 @@ def _kr(g: Graph, region: int, v: int, r: int) -> tuple[set[int], str]:
         return set(_iter_bits(region)), "base"
     n = size - 1
     nv_mask = masks[v] & region
-    b_need = max(1, math.ceil(math.log(n) / (4.0 * math.log(r))))
+    b_need = max(1, math.ceil(theorem_bound(n, r)))
 
     if nv_mask.bit_count() ** 4 >= n:
         return {v} | _independent_in(g, nv_mask, r, b_need), "ramsey-star"
@@ -356,6 +376,7 @@ def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCer
     reason = certificate_failure(g, t_cert)
     if reason is not None:
         raise FinderPreconditionError(f"input certificate invalid: {reason}")
+    masks = g.adjacency_masks
     t = t_cert.vertices
     bound = 1.0 + len(t) / 2.0
     if v in t:
@@ -363,13 +384,14 @@ def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCer
             return TreeCertificate(t, v, bound, "contains-root")
         if g.n == 1:
             return TreeCertificate(t, v, 1.0, "single-vertex")
-        return TreeCertificate(frozenset({v, min(g.neighbors(v))}), v, bound, "grown-edge")
+        return TreeCertificate(frozenset({v, min(_iter_bits(masks[v]))}), v, bound, "grown-edge")
 
     path = shortest_path(g, v, t)
     body = path[:-1]
     last = body[-1]
-    attach_pts = sorted(g.neighbors(last) & t)
-    adj_t = {x: sorted(g.neighbors(x) & t) for x in t}
+    t_mask = _mask_of(t)
+    attach_pts = list(_iter_bits(masks[last] & t_mask))
+    adj_t = {x: list(_iter_bits(masks[x] & t_mask)) for x in t}
 
     label: dict[int, int] = {}
     queue: deque[int] = deque()
@@ -424,16 +446,21 @@ def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCer
     return TreeCertificate(frozenset(verts), v, bound, "reroute")
 
 
+def find_tree(g: Graph, v: int, r: int) -> TreeCertificate:
+    """The theorem's finder for a connected K_r-free graph: the triangle-free
+    finder for r = 3, the K_r-free finder for r >= 4."""
+    if r < 3:
+        raise ValueError("r must be >= 3")
+    if r == 3:
+        return find_tree_triangle_free(g, v)
+    return find_tree_kr_free(g, v, r)
+
+
 def find_large_tree(g: Graph) -> TreeCertificate:
     """Dispatch to the appropriate finder with the smallest r for which g
     has no size-r clique, trying a sample of roots and keeping the largest
     certificate."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not is_connected(g):
-        raise FinderPreconditionError(
-            "graph is disconnected", witness=components_of(g)[0]
-        )
+    _check_input(g, 0)  # root 0 exists in any nonempty graph
     n = g.n
     if n == 1:
         return TreeCertificate(frozenset({0}), 0, 1.0, "single-vertex")
@@ -443,17 +470,10 @@ def find_large_tree(g: Graph) -> TreeCertificate:
     while find_clique(g, r) is not None:
         r += 1
     log.debug("find_large_tree: n=%d dispatching with r=%d", n, r)
-    full = (1 << n) - 1
     roots = range(n) if n <= 40 else range(0, n, -(-n // 40))
     best: Optional[TreeCertificate] = None
     for v in roots:
-        if r == 3:
-            verts, strategy = _tf(g, full, v)
-            bound = _sqrt_bound(n - 1)
-        else:
-            verts, strategy = _kr(g, full, v, r)
-            bound = _log_bound(n - 1, r)
-        cert = TreeCertificate(frozenset(verts), v, bound, strategy)
+        cert = find_tree(g, v, r)
         if best is None or cert.size > best.size:
             best = cert
     assert best is not None

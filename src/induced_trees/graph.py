@@ -34,69 +34,79 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
+def _iter_edges(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Edges (u, v) with u < v, in ascending (u, v) order."""
+    for u, mask in enumerate(masks):
+        for v in _iter_bits(mask >> (u + 1)):
+            yield u, u + 1 + v
+
+
+def _reach(masks: Sequence[int], seed: int, region: int) -> int:
+    """Bitmask of the vertices reachable from `seed` (a bitmask) inside `region`."""
+    visited = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in _iter_bits(frontier):
+            nxt |= masks[v]
+        frontier = nxt & region & ~visited
+        visited |= frontier
+    return visited
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    No self-loops, no parallel edges; adjacency is symmetric.  Edges are
-    stored as (u, v) pairs with u < v.  Adjacency bitmasks and a few
-    expensive pure queries (connectivity, triangle search, clique search)
-    are cached lazily, which is safe because instances never change.
+    No self-loops, no parallel edges; adjacency is symmetric.  The one stored
+    representation is `adjacency_masks`, a neighbour bitmask per vertex;
+    `edges` ((u, v) pairs, u < v), `neighbors`, `degree` and `has_edge` are
+    views derived from it.  Connectivity, triangle and clique searches are
+    cached lazily, which is safe because instances never change.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks", "_cache")
+    __slots__ = ("n", "edge_count", "adjacency_masks", "_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        edge_set: set[tuple[int, int]] = set()
+        masks = [0] * n
+        count = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in edge_set:
-                raise ValueError(f"duplicate edge {e}")
-            edge_set.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            if masks[u] >> v & 1:
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            count += 1
         self.n = n
-        self.edges = frozenset(edge_set)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks: Optional[tuple[int, ...]] = None
+        self.edge_count = count
+        self.adjacency_masks: tuple[int, ...] = tuple(masks)
         self._cache: dict = {}
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_iter_edges(self.adjacency_masks))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(_iter_bits(self.adjacency_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.adjacency_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
-    @property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        masks = self._masks
-        if masks is None:
-            masks = tuple(_mask_of(s) for s in self._adj)
-            self._masks = masks
-        return masks
+        return v >= 0 and bool(self.adjacency_masks[u] >> v & 1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.adjacency_masks == other.adjacency_masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adjacency_masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -109,16 +119,8 @@ def is_connected(g: Graph) -> bool:
     cached = g._cache.get("connected")
     if cached is not None:
         return cached
-    masks = g.adjacency_masks
-    visited = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _iter_bits(frontier):
-            nxt |= masks[v]
-        frontier = nxt & ~visited
-        visited |= frontier
-    result = visited == (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    result = _reach(g.adjacency_masks, 1, full) == full
     g._cache["connected"] = result
     return result
 
@@ -129,17 +131,9 @@ def _component_masks(masks: Sequence[int], region: int) -> list[int]:
     comps: list[int] = []
     remaining = region
     while remaining:
-        seed = remaining & -remaining
-        visited = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= masks[v]
-            frontier = nxt & remaining & ~visited
-            visited |= frontier
-        comps.append(visited)
-        remaining &= ~visited
+        comp = _reach(masks, remaining & -remaining, remaining)
+        comps.append(comp)
+        remaining &= ~comp
     return comps
 
 
@@ -165,7 +159,7 @@ def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
         return g._cache["triangle"]
     masks = g.adjacency_masks
     found = None
-    for u, v in sorted(g.edges):
+    for u, v in _iter_edges(masks):
         common = masks[u] & masks[v]
         if common:
             w = (common & -common).bit_length() - 1
@@ -242,16 +236,7 @@ def is_induced_tree(g: Graph, s: Iterable[int]) -> bool:
         twice_edges += (masks[v] & s_mask).bit_count()
     if twice_edges != 2 * (k - 1):
         return False
-    seed = s_mask & -s_mask
-    visited = seed
-    frontier = seed
-    while frontier:
-        nxt = 0
-        for v in _iter_bits(frontier):
-            nxt |= masks[v]
-        frontier = nxt & s_mask & ~visited
-        visited |= frontier
-    return visited == s_mask
+    return _reach(masks, s_mask & -s_mask, s_mask) == s_mask
 
 
 def shortest_path(g: Graph, start: int, to_set: Iterable[int]) -> list[int]:
@@ -298,19 +283,16 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     vs = sorted(set(vertices))
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
         raise ValueError("vertices out of range")
+    masks, keep = g.adjacency_masks, _mask_of(vs)
     index = {old: new for new, old in enumerate(vs)}
-    edges = []
-    for old_v in vs:
-        for old_u in g.neighbors(old_v):
-            if old_u > old_v and old_u in index:
-                edges.append((index[old_v], index[old_u]))
+    edges = [(i, index[u]) for i, v in enumerate(vs) for u in _iter_bits(masks[v] & keep) if u > v]
     return Graph(len(vs), edges), vs
 
 
 def format_edge_list(g: Graph) -> str:
     """Edge-list text: header '<n> <m>' then one '<u> <v>' line per edge."""
     lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v}" for u, v in _iter_edges(g.adjacency_masks))
     return "\n".join(lines) + "\n"
 
 
@@ -336,26 +318,25 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(len(raw_lines) + 1, f"expected {m} edge lines, found {found}")
     if found > m:
         raise EdgeListParseError(m + 2, f"expected {m} edge lines, found {found}")
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for line_no, line in enumerate(raw_lines[1:], start=2):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(line_no, "edge line must be '<u> <v>'")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, "edge endpoints must be integers") from None
-        if u == v:
-            raise EdgeListParseError(line_no, f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(line_no, f"edge ({u}, {v}) out of range for n={n}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise EdgeListParseError(line_no, f"duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, edges)
+    line_no = 1
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        nonlocal line_no
+        for line_no, line in enumerate(raw_lines[1:], start=2):
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ValueError("edge line must be '<u> <v>'")
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ValueError("edge endpoints must be integers") from None
+            yield u, v
+
+    # Graph checks each pair as it is read: an error belongs to the last line read.
+    try:
+        return Graph(n, pairs())
+    except ValueError as exc:
+        raise EdgeListParseError(line_no, str(exc)) from None
 
 
 def load_edge_list(path) -> Graph:

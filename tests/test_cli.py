@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from induced_trees import Graph, load_edge_list, save_edge_list, TreeCertificate
+from induced_trees import (
+    Graph,
+    InternalInvariantError,
+    TreeCertificate,
+    finders,
+    load_edge_list,
+    save_edge_list,
+)
 from induced_trees.cli import main
 from induced_trees.generators import ms_layered
 
@@ -138,6 +145,61 @@ class TestVerify:
         cpath.write_text(TreeCertificate(frozenset({0, 1}), 0, 99.0).to_json())
         code, out, _ = run(capsys, "verify", str(gpath), str(cpath))
         assert code == 1 and json.loads(out)["reason"] == "bound-unmet"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vertices", [True, 0]),
+            ("root", True),
+            ("claimed_bound", "nan"),
+            ("vertices", ["a"]),
+            ("vertices", 7),
+            ("strategy", 5),
+        ],
+    )
+    def test_malformed_certificate_is_usage_error(self, tmp_path, capsys, field, value):
+        gpath = tmp_path / "p3.txt"
+        save_edge_list(Graph(3, [(0, 1), (1, 2)]), gpath)
+        payload = {"root": 0, "vertices": [0, 1], "claimed_bound": 1.0, "strategy": ""}
+        payload[field] = value
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(gpath), str(cpath))
+        assert code == 2 and out == "" and f"'{field}'" in err
+
+
+class TestInternalFailure:
+    @pytest.fixture
+    def finder_raising(self, tmp_path, monkeypatch):
+        """Path of a small graph whose finder raises the given exception."""
+
+        def make(exc):
+            def broken(g, v):
+                raise exc
+
+            monkeypatch.setattr(finders, "find_tree_triangle_free", broken)
+            path = tmp_path / "g.txt"
+            save_edge_list(ms_layered(3), path)
+            return str(path)
+
+        return make
+
+    @pytest.mark.parametrize(
+        "exc",
+        [RecursionError("maximum recursion depth exceeded"), InternalInvariantError("boom", {})],
+    )
+    def test_unexpected_exception_exits_3(self, capsys, finder_raising, exc):
+        code, out, err = run(capsys, "find", finder_raising(exc), "--root", "0")
+        assert code == 3 and out == ""
+        assert err == f"error: internal failure: {type(exc).__name__}: {exc}\n"
+
+    def test_base_exceptions_are_not_caught(self, finder_raising):
+        with pytest.raises(KeyboardInterrupt):
+            main(["find", finder_raising(KeyboardInterrupt()), "--root", "0"])
+
+    def test_unreadable_graph_path_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "find", str(tmp_path), "--root", "0")
+        assert code == 2 and "internal failure" not in err
 
 
 class TestBench:

@@ -1,0 +1,63 @@
+"""Golden determinism check: one sha256 over seeded certificates and edge
+lists.  Certificates are documented to be byte-identical across runs and
+across refactors, so any change to a finder's choices, a certificate's
+JSON form or the edge-list format moves this digest."""
+
+import hashlib
+
+from induced_trees import (
+    Graph,
+    find_large_tree,
+    find_tree_kr_free,
+    find_tree_triangle_free,
+    format_edge_list,
+    reroute_through_vertex,
+)
+from induced_trees.bench import connected_ensemble, kr_free_ensemble, triangle_free_ensemble
+from induced_trees.generators import line_graph_balanced_tree, ms_layered
+
+GOLDEN_SHA256 = "0512babea614ce8e1ccbf20ed7edf2a97aad55b243b5d281b07c1ee94faf5bea"
+
+
+def _spread_roots(n: int) -> list[int]:
+    return sorted({0, n // 2, n - 1})
+
+
+def _cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _records():
+    """Yield one text line per pinned output, in a fixed order."""
+    for m in range(3, 16):
+        g = ms_layered(m)
+        yield format_edge_list(g)
+        for v in range(g.n):
+            yield find_tree_triangle_free(g, v).to_json()
+    for _, g in triangle_free_ensemble(1, 120):
+        yield format_edge_list(g)
+        for v in _spread_roots(g.n):
+            yield find_tree_triangle_free(g, v).to_json()
+    for r in (4, 5):
+        graphs = [g for _, g in kr_free_ensemble(1 + r, r, 80)]
+        graphs += [line_graph_balanced_tree(r, depth) for depth in (2, 3, 4)]
+        for g in graphs:
+            yield format_edge_list(g)
+            for v in _spread_roots(g.n):
+                yield find_tree_kr_free(g, v, r).to_json()
+    graphs = [_cycle(n) for n in range(3, 13)]
+    graphs += [g for _, g in connected_ensemble(1, 60)]
+    for g in graphs:
+        yield format_edge_list(g)
+        base = find_large_tree(g)
+        yield base.to_json()
+        for v in range(g.n):
+            yield reroute_through_vertex(g, base, v).to_json()
+
+
+def test_seeded_outputs_match_golden_digest():
+    digest = hashlib.sha256()
+    for record in _records():
+        digest.update(record.encode("utf-8"))
+        digest.update(b"\n")
+    assert digest.hexdigest() == GOLDEN_SHA256

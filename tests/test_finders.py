@@ -10,10 +10,12 @@ from induced_trees import (
     TreeCertificate,
     certificate_failure,
     find_large_tree,
+    find_tree,
     find_tree_kr_free,
     find_tree_triangle_free,
     max_induced_tree_exact,
     reroute_through_vertex,
+    theorem_bound,
     verify_certificate,
 )
 from induced_trees.generators import (
@@ -210,6 +212,35 @@ class TestVerifyCertificate:
         cert = TreeCertificate(frozenset({2, 0, 5}), 2, 2.5, "star")
         again = TreeCertificate.from_json(cert.to_json())
         assert again == cert
+
+
+class TestTheoremBoundAndDispatch:
+    def test_bound_values(self):
+        assert theorem_bound(49, 3) == 7.0
+        assert theorem_bound(1, 3) == 1.0
+        assert theorem_bound(4 ** 8, 4) == pytest.approx(2.0)
+        assert theorem_bound(1, 5) == 0.0
+
+    def test_bound_rejects_small_r(self):
+        with pytest.raises(ValueError):
+            theorem_bound(10, 2)
+
+    def test_claimed_bound_is_the_bound_one_vertex_down_plus_one(self):
+        g = ms_layered(4)
+        assert find_tree(g, 0, 3).claimed_bound == theorem_bound(g.n - 1, 3) + 1.0
+        assert find_tree(g, 0, 3).claimed_bound >= theorem_bound(g.n, 3)
+        h = line_graph_balanced_tree(4, 3)
+        assert find_tree(h, 0, 4).claimed_bound == theorem_bound(h.n - 1, 4) + 1.0
+
+    def test_dispatch_matches_the_named_finders(self):
+        g = ms_layered(5)
+        h = line_graph_balanced_tree(5, 3)
+        assert find_tree(g, 3, 3) == find_tree_triangle_free(g, 3)
+        assert find_tree(h, 3, 5) == find_tree_kr_free(h, 3, 5)
+
+    def test_dispatch_rejects_small_r(self):
+        with pytest.raises(ValueError, match="r must be >= 3"):
+            find_tree(path_graph(3), 0, 2)
 
 
 class TestFindLargeTree:

@@ -61,6 +61,21 @@ class TestConstruction:
             assert v in g.neighbors(u) and u in g.neighbors(v)
         assert g.degree(1) == 2
 
+    def test_views_agree_with_the_edge_input(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(1, 40)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+            rng.shuffle(pairs)
+            g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+            assert g.edges == frozenset(pairs) and g.edge_count == len(pairs)
+            for v in range(n):
+                nbrs = {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}
+                assert g.neighbors(v) == nbrs and g.degree(v) == len(nbrs)
+                assert all(g.has_edge(v, u) == (u in nbrs) for u in range(n))
+            assert g == Graph(n, pairs) and hash(g) == hash(Graph(n, pairs))
+            assert format_edge_list(g).splitlines()[1:] == [f"{u} {v}" for u, v in sorted(pairs)]
+
 
 class TestConnectivity:
     def test_single_vertex(self):
@@ -231,6 +246,21 @@ class TestEdgeListFormat:
     def test_out_of_range_rejected(self):
         with pytest.raises(EdgeListParseError, match="out of range"):
             parse_edge_list("2 1\n0 5\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("3 2\n0 1\n0 1\n", "line 3: duplicate edge (0, 1)"),
+            ("3 3\n0 1\n1 0\nx y\n", "line 3: duplicate edge (0, 1)"),
+            ("3 3\n0 1\nx y\n1 0\n", "line 3: edge endpoints must be integers"),
+            ("3 2\n0 3\n1 1\n", "line 2: edge (0, 3) out of range for n=3"),
+            ("3 2\n0 1\n2\n", "line 3: edge line must be '<u> <v>'"),
+        ],
+    )
+    def test_first_faulty_line_wins(self, text, line):
+        with pytest.raises(EdgeListParseError) as excinfo:
+            parse_edge_list(text)
+        assert str(excinfo.value) == line
 
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(EdgeListParseError):
