@@ -111,7 +111,6 @@ def _finder_row(suite, name, g, r, roots=None) -> dict:
     verified = every certificate valid and at least the required bound."""
     started = time.monotonic()
     required = finders.theorem_bound(g.n, r)
-    algorithm = "find-tree-triangle-free" if r == 3 else "find-tree-kr-free"
     roots = roots if roots is not None else _sample_roots(g.n)
     worst = None
     ok = True
@@ -122,7 +121,7 @@ def _finder_row(suite, name, g, r, roots=None) -> dict:
         if cert.size < required - finders.BOUND_EPS:
             ok = False
         worst = cert.size if worst is None else min(worst, cert.size)
-    return _row(suite, name, algorithm, g.n, r, required, worst, ok, started)
+    return _row(suite, name, finders.finder_label(r), g.n, r, required, worst, ok, started)
 
 
 def suite_triangle_free(seed: int, count: Optional[int] = None) -> list[dict]:

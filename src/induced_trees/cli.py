@@ -5,8 +5,8 @@ Subcommands: gen (constructions to edge-list or instance JSON), find
 verify (check a certificate file), bench (reproducible suite tables).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse/precondition
-errors, 3 internal failure (any other exception, e.g. RecursionError; the
-traceback is logged at debug level).  Set INDUCED_TREE_LOG=debug|info for
+errors, 3 internal failure (any other exception, e.g. a violated invariant;
+the traceback is logged at debug level).  Set INDUCED_TREE_LOG=debug|info for
 progress logging.
 """
 
@@ -158,7 +158,7 @@ def _cmd_find(args) -> int:
     verified = failure is None and cert.size >= required - finders.BOUND_EPS
     report = {
         "instance": str(args.graph),
-        "algorithm": "find-tree-triangle-free" if args.r == 3 else "find-tree-kr-free",
+        "algorithm": finders.finder_label(args.r),
         "n": g.n,
         "r": args.r,
         "root": args.root,

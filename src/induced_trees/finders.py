@@ -18,9 +18,12 @@ Three constructions:
     shortest path into T plus one color class of T's subtree partition.
 
 find_tree(g, v, r) picks between the first two by r; theorem_bound(n, r)
-is the size they guarantee.  Recursive subproblems are vertex-region
-bitmasks over the immutable host graph, so no subgraphs are materialized;
-all finders are pure.
+is the size they guarantee.  Both run one loop, _grow, over a stack of
+pending (region, root) subproblems, so no chain is too long for the
+interpreter's recursion limit; a one-level step (_tf or _kr) fixes some tree
+vertices of each region and returns the subproblems it leaves.  Regions are
+vertex bitmasks over the immutable host graph, so no subgraphs are
+materialized; all finders are pure.
 """
 
 from __future__ import annotations
@@ -171,10 +174,20 @@ def _check_input(g: Graph, v: int, r: int = 3, r_min: int = 3) -> None:
         raise ValueError(f"vertex {v} out of range")
     if r < r_min:
         raise ValueError(f"r must be >= {r_min}")
+    _check_connected(g)
+
+
+def _check_connected(g: Graph) -> None:
     if not is_connected(g):
-        raise FinderPreconditionError(
-            "graph is disconnected", witness=components_of(g)[0]
-        )
+        raise FinderPreconditionError("graph is disconnected", witness=components_of(g)[0])
+
+
+def _adjacent_to(masks, vertex_mask: int) -> int:
+    """Bitmask of the vertices adjacent to some vertex of `vertex_mask`."""
+    union = 0
+    for x in _iter_bits(vertex_mask):
+        union |= masks[x]
+    return union
 
 
 def _attachment_instance(
@@ -184,19 +197,44 @@ def _attachment_instance(
     by size, adjacency = 'some component vertex sees the attachment'."""
     items = []
     for comp in comp_masks:
-        union = 0
-        for x in _iter_bits(comp):
-            union |= masks[x]
+        union = _adjacent_to(masks, comp)
         items.append(
             (float(comp.bit_count()), [ai for ai, u in enumerate(a_list) if union >> u & 1])
         )
     return WeightedBipartiteInstance(len(a_list), items)
 
 
-def _unique_attachment(item_nbrs: frozenset[int], chosen_a: frozenset[int], a_list: list[int]) -> int:
-    only = item_nbrs & chosen_a
-    assert len(only) == 1
-    return a_list[next(iter(only))]
+def _select_attached(masks, nv_mask: int, comp_masks: list[int], select) -> dict[int, int]:
+    """Run `select` on the attachment instance of the components around the
+    root's neighbourhood `nv_mask`; maps each chosen component's index, in
+    ascending order, to its one chosen attachment vertex."""
+    a_list = list(_iter_bits(nv_mask))
+    inst = _attachment_instance(masks, a_list, comp_masks)
+    sel = select(inst)
+    only = {i: inst.b_items[i].nbrs & sel.a_chosen for i in sorted(sel.b_chosen)}
+    assert all(len(a) == 1 for a in only.values())
+    return {i: a_list[min(a)] for i, a in only.items()}
+
+
+def _grow(g: Graph, v: int, step, *args) -> tuple[frozenset[int], str]:
+    """The decomposition loop both finders share.  Pending (region, root)
+    subproblems wait on a stack, starting with the whole graph at v; a region
+    of at most 2 vertices is taken whole, any other goes to `step(g, region,
+    root, *args)`, which returns the tree vertices it fixes (a bitmask), its
+    strategy and its subproblems.  Returns the union of the fixed vertices
+    and the first step's strategy."""
+    tree, top = 0, None
+    stack = [((1 << g.n) - 1, v)]
+    while stack:
+        region, root = stack.pop()
+        if region.bit_count() <= 2:
+            fixed, strategy, subproblems = region, "base", []
+        else:
+            fixed, strategy, subproblems = step(g, region, root, *args)
+        tree |= fixed
+        top = top or strategy
+        stack.extend(subproblems)
+    return frozenset(_iter_bits(tree)), top
 
 
 def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
@@ -208,31 +246,21 @@ def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
         raise FinderPreconditionError(
             f"graph contains triangle {triangle}", witness=triangle
         )
-    full = (1 << g.n) - 1
-    verts, strategy = _tf(g, full, v)
-    return TreeCertificate(frozenset(verts), v, theorem_bound(g.n - 1, 3) + 1.0, strategy)
+    verts, strategy = _grow(g, v, _tf)
+    return TreeCertificate(verts, v, theorem_bound(g.n - 1, 3) + 1.0, strategy)
 
 
-def _tf(g: Graph, region: int, v: int) -> tuple[set[int], str]:
-    """Tree vertices within the connected triangle-free `region`, rooted at v."""
+def _tf(g: Graph, region: int, v: int) -> tuple[int, str, list[tuple[int, int]]]:
+    """One step in the connected triangle-free `region` rooted at v: the
+    root's star if it meets the bound, else the root alone plus one
+    subproblem per component the weighted selection picks."""
     masks = g.adjacency_masks
-    size = region.bit_count()
-    if size <= 2:
-        return set(_iter_bits(region)), "base"
-    n = size - 1
     nv_mask = masks[v] & region
-    if nv_mask.bit_count() ** 2 >= n:
-        return {v} | set(_iter_bits(nv_mask)), "star"
+    if nv_mask.bit_count() ** 2 >= region.bit_count() - 1:
+        return (1 << v) | nv_mask, "star", []
     comps = _component_masks(masks, region & ~nv_mask & ~(1 << v))
-    a_list = list(_iter_bits(nv_mask))
-    inst = _attachment_instance(masks, a_list, comps)
-    sel = select_weighted(inst)
-    verts = {v}
-    for i in sorted(sel.b_chosen):
-        u = _unique_attachment(inst.b_items[i].nbrs, sel.a_chosen, a_list)
-        branch, _ = _tf(g, comps[i] | (1 << u), u)
-        verts |= branch
-    return verts, "decompose"
+    attach = _select_attached(masks, nv_mask, comps, select_weighted)
+    return 1 << v, "decompose", [(comps[i] | (1 << u), u) for i, u in attach.items()]
 
 
 def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
@@ -244,16 +272,15 @@ def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
         raise FinderPreconditionError(
             f"graph contains a clique of size {r}: {sorted(clique)}", witness=clique
         )
-    full = (1 << g.n) - 1
-    verts, strategy = _kr(g, full, v, r)
-    return TreeCertificate(frozenset(verts), v, theorem_bound(g.n - 1, r) + 1.0, strategy)
+    verts, strategy = _grow(g, v, _kr, r)
+    return TreeCertificate(verts, v, theorem_bound(g.n - 1, r) + 1.0, strategy)
 
 
-def _independent_in(g: Graph, vertex_mask: int, r: int, b: int) -> set[int]:
+def _independent_in(g: Graph, vertex_mask: int, r: int, b: int) -> int:
     """Independent set of size >= b inside the induced subgraph on the mask,
-    returned in host ids.  The region is K_r-free by heredity."""
+    as a bitmask of host ids.  The region is K_r-free by heredity."""
     sub, mapping = induced_subgraph(g, _iter_bits(vertex_mask))
-    return {mapping[x] for x in independent_set_of_size(sub, r, b)}
+    return _mask_of(mapping[x] for x in independent_set_of_size(sub, r, b))
 
 
 def _choose_branch_pair(
@@ -269,61 +296,49 @@ def _choose_branch_pair(
     component indices.
     """
     distinct = len(set(attach.values())) == len(chosen)
-    best_key = None
-    pair = None
-    for ii in range(len(chosen)):
-        for jj in range(ii + 1, len(chosen)):
-            i, j = chosen[ii], chosen[jj]
-            if distinct:
-                usable = not g.has_edge(attach[i], attach[j])
-            else:
-                usable = attach[i] == attach[j]
-            if usable:
-                key = (-(sizes[i] + sizes[j]), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    pair = (i, j)
-    if pair is None:
+    usable = [
+        (i, j)
+        for ii, i in enumerate(chosen)
+        for j in chosen[ii + 1:]
+        if (not g.has_edge(attach[i], attach[j]) if distinct else attach[i] == attach[j])
+    ]
+    if not usable:
         raise InternalInvariantError(
             "r+1 distinct attachments are pairwise adjacent in a K_r-free graph",
             dump={"attachments": sorted(attach.values()), "chosen": chosen},
         )
+    pair = min(usable, key=lambda p: (-(sizes[p[0]] + sizes[p[1]]), p))
     return pair, "two-branches" if distinct else "shared-attachment"
 
 
-def _kr(g: Graph, region: int, v: int, r: int) -> tuple[set[int], str]:
+def _kr(g: Graph, region: int, v: int, r: int) -> tuple[int, str, list[tuple[int, int]]]:
+    """One step in the connected K_r-free `region` rooted at v: a Ramsey
+    star or broom if a neighbourhood is large, else the root plus one
+    subproblem in the biggest component or two picked by uniform selection."""
     masks = g.adjacency_masks
     size = region.bit_count()
-    if size <= 2:
-        return set(_iter_bits(region)), "base"
     n = size - 1
     nv_mask = masks[v] & region
     b_need = max(1, math.ceil(theorem_bound(n, r)))
 
     if nv_mask.bit_count() ** 4 >= n:
-        return {v} | _independent_in(g, nv_mask, r, b_need), "ramsey-star"
+        return (1 << v) | _independent_in(g, nv_mask, r, b_need), "ramsey-star", []
 
     removed = nv_mask | (1 << v)
     for w in _iter_bits(nv_mask):
         outside = masks[w] & region & ~removed
         if outside.bit_count() ** 4 >= n:
-            return {v, w} | _independent_in(g, outside, r, b_need), "ramsey-broom"
+            fixed = (1 << v) | (1 << w) | _independent_in(g, outside, r, b_need)
+            return fixed, "ramsey-broom", []
 
     comps = _component_masks(masks, region & ~removed)
     r4 = r ** 4
 
-    big = None
-    for comp in comps:
-        if comp.bit_count() * r4 > n and (big is None or comp.bit_count() > big.bit_count()):
-            big = comp
-    if big is not None:
-        attach_mask = 0
-        for x in _iter_bits(big):
-            attach_mask |= masks[x]
-        u_mask = attach_mask & nv_mask
+    big = max(comps, key=int.bit_count, default=0)
+    if big.bit_count() * r4 > n:
+        u_mask = _adjacent_to(masks, big) & nv_mask
         u = (u_mask & -u_mask).bit_length() - 1
-        branch, _ = _kr(g, big | (1 << u), u, r)
-        return {v} | branch, "big-component"
+        return 1 << v, "big-component", [(big | (1 << u), u)]
 
     big_comps = [comp for comp in comps if comp.bit_count() ** 2 * r4 >= n]
     if len(big_comps) <= r * r:
@@ -338,27 +353,15 @@ def _kr(g: Graph, region: int, v: int, r: int) -> tuple[set[int], str]:
                 "large_components": len(big_comps),
             },
         )
-    a_list = list(_iter_bits(nv_mask))
-    inst = _attachment_instance(masks, a_list, big_comps)
-    sel = select_uniform(inst)
-    chosen = sorted(sel.b_chosen)
-    if len(chosen) < r + 1:
+    attach = _select_attached(masks, nv_mask, big_comps, select_uniform)
+    if len(attach) < r + 1:
         raise InternalInvariantError(
             "uniform selection returned fewer than r+1 components",
-            dump={"region_size": size, "r": r, "root": v, "chosen": len(chosen)},
+            dump={"region_size": size, "r": r, "root": v, "chosen": len(attach)},
         )
-    attach = {
-        i: _unique_attachment(inst.b_items[i].nbrs, sel.a_chosen, a_list) for i in chosen
-    }
-
-    sizes = {i: big_comps[i].bit_count() for i in chosen}
-    pair, strategy = _choose_branch_pair(g, chosen, attach, sizes)
-
-    verts = {v}
-    for i in pair:
-        branch, _ = _kr(g, big_comps[i] | (1 << attach[i]), attach[i], r)
-        verts |= branch
-    return verts, strategy
+    sizes = {i: big_comps[i].bit_count() for i in attach}
+    pair, strategy = _choose_branch_pair(g, list(attach), attach, sizes)
+    return 1 << v, strategy, [(big_comps[i] | (1 << attach[i]), attach[i]) for i in pair]
 
 
 def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCertificate:
@@ -373,6 +376,7 @@ def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCer
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
+    _check_connected(g)
     reason = certificate_failure(g, t_cert)
     if reason is not None:
         raise FinderPreconditionError(f"input certificate invalid: {reason}")
@@ -393,11 +397,8 @@ def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCer
     attach_pts = list(_iter_bits(masks[last] & t_mask))
     adj_t = {x: list(_iter_bits(masks[x] & t_mask)) for x in t}
 
-    label: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for idx, s in enumerate(attach_pts):
-        label[s] = idx
-        queue.append(s)
+    label = {s: idx for idx, s in enumerate(attach_pts)}
+    queue = deque(attach_pts)
     while queue:
         x = queue.popleft()
         for y in adj_t[x]:
@@ -456,6 +457,11 @@ def find_tree(g: Graph, v: int, r: int) -> TreeCertificate:
     return find_tree_kr_free(g, v, r)
 
 
+def finder_label(r: int) -> str:
+    """The report name of find_tree's finder for r."""
+    return "find-tree-triangle-free" if r == 3 else "find-tree-kr-free"
+
+
 def find_large_tree(g: Graph) -> TreeCertificate:
     """Dispatch to the appropriate finder with the smallest r for which g
     has no size-r clique, trying a sample of roots and keeping the largest
@@ -471,10 +477,5 @@ def find_large_tree(g: Graph) -> TreeCertificate:
         r += 1
     log.debug("find_large_tree: n=%d dispatching with r=%d", n, r)
     roots = range(n) if n <= 40 else range(0, n, -(-n // 40))
-    best: Optional[TreeCertificate] = None
-    for v in roots:
-        cert = find_tree(g, v, r)
-        if best is None or cert.size > best.size:
-            best = cert
-    assert best is not None
-    return best
+    # max keeps the first of the largest, so ties go to the earliest root.
+    return max((find_tree(g, v, r) for v in roots), key=lambda cert: cert.size)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -67,6 +68,13 @@ class TestFind:
         code, _, err = run(capsys, "find", str(path), "--root", "0", "--r", "4")
         assert code == 2
         assert "clique" in err and "[0, 1, 2, 3]" in err
+
+    def test_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        n = sys.getrecursionlimit() + 100
+        path = tmp_path / "long.txt"
+        save_edge_list(Graph(n, [(i, i + 1) for i in range(n - 1)]), path)
+        code, out, _ = run(capsys, "find", str(path), "--root", "0")
+        assert code == 0 and json.loads(out)["verified"] is True
 
     def test_single_vertex_graph(self, tmp_path, capsys):
         path = tmp_path / "one.txt"

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -131,6 +132,17 @@ class TestKrFreeFinder:
                     assert cert.size >= math.log(n) / (4 * math.log(r)) - 1e-9
 
 
+@pytest.mark.parametrize("shape, r", [("cycle", 3), ("path", 3), ("path", 4)])
+def test_chain_longer_than_the_recursion_limit(shape, r):
+    # The finders keep pending subproblems on a list, not on the call
+    # stack, so a chain of any length decomposes at the default limit.
+    n = sys.getrecursionlimit() + 100
+    g = cycle_graph(n) if shape == "cycle" else path_graph(n)
+    cert = find_tree(g, 0, r)
+    assert verify_certificate(g, cert)
+    assert cert.size >= theorem_bound(n, r) - 1e-9
+
+
 class TestReroute:
     def test_vertex_already_in_tree(self):
         g = path_graph(5)
@@ -172,6 +184,14 @@ class TestReroute:
         bad = TreeCertificate(frozenset({0, 1, 2}), 0, 3.0)
         with pytest.raises(FinderPreconditionError, match="not-induced-tree"):
             reroute_through_vertex(g, bad, 0)
+
+    @pytest.mark.parametrize("tree", [{2}, {0, 1}])
+    def test_disconnected_graph_rejected(self, tree):
+        g = Graph(3, [(0, 1)])
+        t = TreeCertificate(frozenset(tree), min(tree), 1.0)
+        with pytest.raises(FinderPreconditionError, match="disconnected") as info:
+            reroute_through_vertex(g, t, 2)
+        assert info.value.witness == frozenset({0, 1})
 
     def test_random_ensemble_meets_half_bound(self):
         rng = random.Random(18)
