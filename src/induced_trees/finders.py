@@ -21,9 +21,14 @@ find_tree(g, v, r) picks between the first two by r; theorem_bound(n, r)
 is the size they guarantee.  Both run one loop, _grow, over a stack of
 pending (region, root) subproblems, so no chain is too long for the
 interpreter's recursion limit; a one-level step (_tf or _kr) fixes some tree
-vertices of each region and returns the subproblems it leaves.  Regions are
-vertex bitmasks over the immutable host graph, so no subgraphs are
-materialized; all finders are pure.
+vertices of each region and returns the subproblems it leaves.  A step
+splits what is left of its region by searches seeded next to the root's
+neighbourhood (graph._component_masks), which leave the last piece
+unwalked, and tests each attachment vertex's mask against each piece, so
+a step costs about the size of the pieces it cuts off, not of the region:
+chains decompose in linear time.  Regions are vertex bitmasks over the
+immutable host graph, so no subgraphs are materialized; all finders are
+pure.
 """
 
 from __future__ import annotations
@@ -195,12 +200,11 @@ def _attachment_instance(
 ) -> WeightedBipartiteInstance:
     """Bipartite instance: A = attachment vertices, B = components weighted
     by size, adjacency = 'some component vertex sees the attachment'."""
-    items = []
-    for comp in comp_masks:
-        union = _adjacent_to(masks, comp)
-        items.append(
-            (float(comp.bit_count()), [ai for ai, u in enumerate(a_list) if union >> u & 1])
-        )
+    a_masks = [masks[u] for u in a_list]
+    items = [
+        (float(comp.bit_count()), [ai for ai, m in enumerate(a_masks) if m & comp])
+        for comp in comp_masks
+    ]
     return WeightedBipartiteInstance(len(a_list), items)
 
 
@@ -258,7 +262,8 @@ def _tf(g: Graph, region: int, v: int) -> tuple[int, str, list[tuple[int, int]]]
     nv_mask = masks[v] & region
     if nv_mask.bit_count() ** 2 >= region.bit_count() - 1:
         return (1 << v) | nv_mask, "star", []
-    comps = _component_masks(masks, region & ~nv_mask & ~(1 << v))
+    rest = region & ~nv_mask & ~(1 << v)
+    comps = _component_masks(masks, rest, _adjacent_to(masks, nv_mask) & rest)
     attach = _select_attached(masks, nv_mask, comps, select_weighted)
     return 1 << v, "decompose", [(comps[i] | (1 << u), u) for i, u in attach.items()]
 
@@ -331,13 +336,13 @@ def _kr(g: Graph, region: int, v: int, r: int) -> tuple[int, str, list[tuple[int
             fixed = (1 << v) | (1 << w) | _independent_in(g, outside, r, b_need)
             return fixed, "ramsey-broom", []
 
-    comps = _component_masks(masks, region & ~removed)
+    rest = region & ~removed
+    comps = _component_masks(masks, rest, _adjacent_to(masks, nv_mask) & rest)
     r4 = r ** 4
 
     big = max(comps, key=int.bit_count, default=0)
     if big.bit_count() * r4 > n:
-        u_mask = _adjacent_to(masks, big) & nv_mask
-        u = (u_mask & -u_mask).bit_length() - 1
+        u = next(a for a in _iter_bits(nv_mask) if masks[a] & big)
         return 1 << v, "big-component", [(big | (1 << u), u)]
 
     big_comps = [comp for comp in comps if comp.bit_count() ** 2 * r4 >= n]

@@ -90,13 +90,20 @@ class Graph:
         return frozenset(_iter_edges(self.adjacency_masks))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_iter_bits(self.adjacency_masks[v]))
+        return frozenset(_iter_bits(self._mask(v)))
 
     def degree(self, v: int) -> int:
-        return self.adjacency_masks[v].bit_count()
+        return self._mask(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v >= 0 and bool(self.adjacency_masks[u] >> v & 1)
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and bool(self.adjacency_masks[u] >> v & 1)
+
+    def _mask(self, v: int) -> int:
+        # A negative index would wrap around to another vertex's mask.
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return self.adjacency_masks[v]
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,16 +132,67 @@ def is_connected(g: Graph) -> bool:
     return result
 
 
-def _component_masks(masks: Sequence[int], region: int) -> list[int]:
+def _component_masks(
+    masks: Sequence[int], region: int, seeds: Optional[int] = None
+) -> list[int]:
     """Connected components of the subgraph induced on the `region` bitmask,
-    as bitmasks ordered by lowest set bit."""
+    as bitmasks ordered by lowest set bit.
+
+    Without `seeds`, one BFS sweep walks the whole region.  With `seeds`, a
+    bitmask of region vertices, every component of the region must contain a
+    seed.  A finder step splits what is left of its connected region once
+    the root v and v's neighbourhood N(v) are removed, and passes the
+    vertices next to N(v): every component left has an edge to the removed
+    vertices, because the region is connected, and that edge ends in N(v),
+    because v's only neighbours in the region are N(v).
+
+    Each seed starts its own search, and the searches grow one BFS layer
+    per round: two that meet merge, and one whose frontier empties is a
+    finished component.  Once at most one search is left, its component is
+    what the finished ones leave of the region, and is never walked.  So
+    the cost follows the pieces cut off, not the region: a path with one
+    seed reads no mask at all.
+    """
     comps: list[int] = []
-    remaining = region
-    while remaining:
-        comp = _reach(masks, remaining & -remaining, remaining)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    if seeds is None:
+        remaining = region
+        while remaining:
+            comp = _reach(masks, remaining & -remaining, remaining)
+            comps.append(comp)
+            remaining &= ~comp
+        return comps
+    # (visited, frontier) per search; visited sets are disjoint between rounds.
+    live = [(1 << s, 1 << s) for s in _iter_bits(seeds)]
+    while len(live) > 1:
+        grown: list[tuple[int, int]] = []
+        claimed = 0
+        for visited, frontier in live:
+            nxt = 0
+            for v in _iter_bits(frontier):
+                nxt |= masks[v]
+            frontier = nxt & region & ~visited
+            visited |= frontier
+            if visited & claimed:
+                keep = []
+                for other in grown:
+                    if other[0] & visited:
+                        visited |= other[0]
+                        frontier |= other[1]
+                    else:
+                        keep.append(other)
+                grown = keep + [(visited, frontier)]
+            elif frontier:
+                grown.append((visited, frontier))
+            else:
+                comps.append(visited)
+            claimed |= visited
+        live = grown
+    rest = region
+    for comp in comps:
+        rest &= ~comp
+    if rest:
+        comps.append(rest)
+    return sorted(comps, key=lambda comp: comp & -comp)
 
 
 def components_of(g: Graph, excluded: Iterable[int] = ()) -> list[frozenset[int]]:

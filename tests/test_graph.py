@@ -76,6 +76,19 @@ class TestConstruction:
             assert g == Graph(n, pairs) and hash(g) == hash(Graph(n, pairs))
             assert format_edge_list(g).splitlines()[1:] == [f"{u} {v}" for u, v in sorted(pairs)]
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (7, 0), (0, 7), (4, 3), (-4, -3)])
+    def test_has_edge_is_false_outside_the_vertex_range(self, u, v):
+        # On C_4, -1 would otherwise index vertex 3, which does neighbour 0.
+        assert not cycle_graph(4).has_edge(u, v)
+
+    @pytest.mark.parametrize("v", [-1, -4, 4, 7])
+    def test_neighbors_and_degree_reject_out_of_range_ids(self, v):
+        g = cycle_graph(4)
+        with pytest.raises(ValueError, match="out of range"):
+            g.neighbors(v)
+        with pytest.raises(ValueError, match="out of range"):
+            g.degree(v)
+
 
 class TestConnectivity:
     def test_single_vertex(self):
