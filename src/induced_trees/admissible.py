@@ -326,6 +326,13 @@ def _star(inst: WeightedBipartiteInstance, a_id: int) -> AdmissibleSelection:
     return AdmissibleSelection(frozenset({a_id}), b, _sqrt_value(inst, b), 0.5)
 
 
+def _ceil_sqrt(k: int) -> int:
+    """ceil(sqrt(k)) for an integer k >= 0, computed exactly: the item
+    count select_uniform guarantees for an instance with k items."""
+    root = math.isqrt(k)
+    return root if root * root == k else root + 1
+
+
 def select_uniform(inst: WeightedBipartiteInstance) -> AdmissibleSelection:
     """Constructive cardinality guarantee: |b_chosen| >= ceil(sqrt(|B|)).
 
@@ -347,9 +354,7 @@ def select_uniform(inst: WeightedBipartiteInstance) -> AdmissibleSelection:
             key=lambda a: (len(reduced.items_of_a[a]), -a),
         )
         sel = _star(inst, back[best])
-    need = math.isqrt(nb)
-    if need * need < nb:
-        need += 1
+    need = _ceil_sqrt(nb)
     if len(sel.b_chosen) < need:
         raise LemmaViolationError(
             f"uniform selection produced {len(sel.b_chosen)} items, needs {need}"

@@ -16,7 +16,13 @@ import time
 from typing import Iterator, Optional
 
 from . import finders, generators, oracle
-from .admissible import WeightedBipartiteInstance, select_uniform, select_weighted, solve_exact
+from .admissible import (
+    WeightedBipartiteInstance,
+    _ceil_sqrt,
+    select_uniform,
+    select_weighted,
+    solve_exact,
+)
 from .graph import Graph
 
 log = logging.getLogger(__name__)
@@ -192,10 +198,7 @@ def suite_admissible(seed: int, count: Optional[int] = None) -> list[dict]:
             naive = oracle.admissible_naive(inst, alpha=0.5, budget=budget)
             ok = ok and math.isclose(naive.value, exact.value, rel_tol=1e-12, abs_tol=1e-12)
         uniform = select_uniform(inst)
-        need = math.isqrt(inst.b_count)
-        if need * need < inst.b_count:
-            need += 1
-        ok = ok and len(uniform.b_chosen) >= need
+        ok = ok and len(uniform.b_chosen) >= _ceil_sqrt(inst.b_count)
         rows.append(
             _row("admissible", name, "weighted-selection>=sqrt-total", inst.b_count, None,
                  target, exact.value, ok, started)

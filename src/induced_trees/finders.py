@@ -26,9 +26,9 @@ splits what is left of its region by searches seeded next to the root's
 neighbourhood (graph._component_masks), which leave the last piece
 unwalked, and tests each attachment vertex's mask against each piece, so
 a step costs about the size of the pieces it cuts off, not of the region:
-chains decompose in linear time.  Regions are vertex bitmasks over the
-immutable host graph, so no subgraphs are materialized; all finders are
-pure.
+chains decompose in linear time.  Regions, and the neighbourhoods _kr
+hands to Ramsey extraction, are vertex bitmasks over the immutable host
+graph, so no subgraphs are materialized; all finders are pure.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ from .graph import (
     components_of,
     find_clique,
     find_triangle,
-    induced_subgraph,
     is_connected,
     is_induced_tree,
     shortest_path,
 )
-from .ramsey import independent_set_of_size
+from .ramsey import _independent_mask
 
 log = logging.getLogger(__name__)
 
@@ -281,13 +280,6 @@ def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
     return TreeCertificate(verts, v, theorem_bound(g.n - 1, r) + 1.0, strategy)
 
 
-def _independent_in(g: Graph, vertex_mask: int, r: int, b: int) -> int:
-    """Independent set of size >= b inside the induced subgraph on the mask,
-    as a bitmask of host ids.  The region is K_r-free by heredity."""
-    sub, mapping = induced_subgraph(g, _iter_bits(vertex_mask))
-    return _mask_of(mapping[x] for x in independent_set_of_size(sub, r, b))
-
-
 def _choose_branch_pair(
     g: Graph, chosen: list[int], attach: dict[int, int], sizes: dict[int, int]
 ) -> tuple[tuple[int, int], str]:
@@ -327,13 +319,13 @@ def _kr(g: Graph, region: int, v: int, r: int) -> tuple[int, str, list[tuple[int
     b_need = max(1, math.ceil(theorem_bound(n, r)))
 
     if nv_mask.bit_count() ** 4 >= n:
-        return (1 << v) | _independent_in(g, nv_mask, r, b_need), "ramsey-star", []
+        return (1 << v) | _independent_mask(masks, nv_mask, r, b_need), "ramsey-star", []
 
     removed = nv_mask | (1 << v)
     for w in _iter_bits(nv_mask):
         outside = masks[w] & region & ~removed
         if outside.bit_count() ** 4 >= n:
-            fixed = (1 << v) | (1 << w) | _independent_in(g, outside, r, b_need)
+            fixed = (1 << v) | (1 << w) | _independent_mask(masks, outside, r, b_need)
             return fixed, "ramsey-broom", []
 
     rest = region & ~removed

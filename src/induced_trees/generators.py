@@ -4,7 +4,8 @@ The layered complete-bipartite chains bound induced-tree sizes from above;
 the line graph of a balanced tree does the same for the clique-free case;
 the dyadic and two-weight bipartite instances exhibit tightness of the
 selection guarantees.  Random generators are fully deterministic given
-(params, seed) - regeneration reproduces byte-identical edge lists.
+(params, seed) - regeneration reproduces byte-identical edge lists - and
+keep their adjacency as neighbour bitmasks until they build the Graph.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .admissible import WeightedBipartiteInstance
-from .graph import Graph, _first_clique, _mask_of, components_of
+from .graph import Graph, _component_masks, _first_clique, _iter_edges
 
 
 def _layered_complete(part_sizes: list[int]) -> Graph:
@@ -119,54 +120,34 @@ def alpha_counterexample(t: int) -> WeightedBipartiteInstance:
 
 def _random_clique_free(n: int, r: int, p: float, seed: int) -> Graph:
     """Sample edges, delete one edge per r-clique (smallest-id tuple first,
-    lexicographically largest edge removed), then bridge components."""
+    lexicographically largest edge removed), then bridge components, all on
+    one list of neighbour masks."""
     rng = random.Random(seed)
-    adj = [set() for _ in range(n)]
-
-    def add(u: int, v: int) -> None:
-        adj[u].add(v)
-        adj[v].add(u)
-
+    masks = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                add(u, v)
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
 
     # Deletions never create cliques, so repeatedly clearing the
     # lexicographically smallest r-clique matches a single ascending scan.
-    while True:
-        masks = [_mask_of(s) for s in adj]
-        clique = _first_clique(masks, r)
-        if clique is None:
-            break
+    while (clique := _first_clique(masks, r)) is not None:
         u, v = clique[-2], clique[-1]
-        adj[u].discard(v)
-        adj[v].discard(u)
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
 
-    g = Graph(n, _edges_of(adj))
-    comps = components_of(g)
-    while len(comps) > 1:
-        # A bridge between distinct components cannot close a triangle (no
-        # common neighbors exist), hence cannot create any clique; the
-        # common-neighborhood check below is defensive.
-        first, second = sorted(comps[0]), sorted(comps[1])
-        bridged = False
-        for x in first:
-            for y in second:
-                if not (adj[x] & adj[y]):
-                    add(x, y)
-                    bridged = True
-                    break
-            if bridged:
-                break
-        assert bridged
-        g = Graph(n, _edges_of(adj))
-        comps = components_of(g)
-    return g
-
-
-def _edges_of(adj: list[set[int]]) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(len(adj)) for v in adj[u] if u < v]
+    # The first component holds vertex 0; a bridge from 0 to the lowest
+    # vertex of each later component connects the graph.  Its ends lie in
+    # different components, so they share no neighbour and the bridge closes
+    # no triangle, hence no clique.
+    for comp in _component_masks(masks, (1 << n) - 1)[1:]:
+        low = comp & -comp
+        y = low.bit_length() - 1
+        assert not masks[0] & masks[y]
+        masks[0] |= low
+        masks[y] |= 1
+    return Graph(n, _iter_edges(masks))
 
 
 def random_triangle_free(n: int, p: float, seed: int) -> Graph:

@@ -1,9 +1,12 @@
 """Constructive clique-or-independent-set extraction.
 
-The classical recursion behind the bound "C(a+b-2, a-1) vertices force a
-clique of size a or an independent set of size b": pick the smallest
-vertex, recurse into its neighborhood when that is large enough for the
-(a-1, b) subproblem, into its non-neighborhood otherwise.
+The classical argument behind the bound "C(a+b-2, a-1) vertices force a
+clique of size a or an independent set of size b": take the smallest
+allowed vertex, then keep its neighborhood when that is large enough for
+the (a-1, b) subproblem and its non-neighborhood otherwise.  The allowed
+vertices form one bitmask over the host graph's adjacency masks, and the
+vertices taken on each branch collect in two more, so the extraction is a
+loop with no depth limit and no relabelled subgraph.
 """
 
 from __future__ import annotations
@@ -11,14 +14,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .graph import Graph
+from .graph import Graph, _iter_bits
 
 CLIQUE = "clique"
 INDEPENDENT = "independent"
 
 
 class RamseyPreconditionError(ValueError):
-    """Input graph is below the vertex count the recursion requires."""
+    """Input graph is below the vertex count the extraction requires."""
 
 
 class CliqueAssertionError(RuntimeError):
@@ -45,49 +48,56 @@ def binomial_threshold(a: int, b: int) -> int:
     return math.comb(a + b - 2, a - 1)
 
 
-def _extract(g: Graph, allowed: Sequence[int], a: int, b: int) -> CliqueOrIndependent:
-    v = allowed[0]
-    if a == 1:
-        return CliqueOrIndependent(CLIQUE, frozenset({v}))
-    if b == 1:
-        return CliqueOrIndependent(INDEPENDENT, frozenset({v}))
-    nv = g.neighbors(v)
-    inside = tuple(u for u in allowed if u in nv)
-    if len(inside) >= binomial_threshold(a - 1, b):
-        res = _extract(g, inside, a - 1, b)
-        if res.kind == CLIQUE:
-            return CliqueOrIndependent(CLIQUE, res.members | {v})
-        return res
-    outside = tuple(u for u in allowed if u != v and u not in nv)
-    assert len(outside) >= binomial_threshold(a, b - 1)
-    res = _extract(g, outside, a, b - 1)
-    if res.kind == INDEPENDENT:
-        return CliqueOrIndependent(INDEPENDENT, res.members | {v})
-    return res
+def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> tuple[str, int]:
+    """(kind, members as a bitmask) for the vertices of the `allowed` bitmask."""
+    need = binomial_threshold(a, b)
+    count = allowed.bit_count()
+    if count < need:
+        raise RamseyPreconditionError(
+            f"below Ramsey threshold: ({a}, {b}) needs {need} vertices, graph has {count}"
+        )
+    clique = independent = 0
+    while True:
+        low = allowed & -allowed
+        if a == 1:
+            return CLIQUE, clique | low
+        if b == 1:
+            return INDEPENDENT, independent | low
+        nv = masks[low.bit_length() - 1]
+        inside = allowed & nv
+        if inside.bit_count() >= binomial_threshold(a - 1, b):
+            clique |= low
+            allowed, a = inside, a - 1
+        else:
+            independent |= low
+            allowed, b = allowed & ~nv & ~low, b - 1
+            assert allowed.bit_count() >= binomial_threshold(a, b)
 
 
 def clique_or_independent(g: Graph, a: int, b: int) -> CliqueOrIndependent:
     """A clique of size >= a or an independent set of size >= b.
 
-    Requires |V| >= binomial_threshold(a, b).  Recursion depth is at most
-    a + b - 2 and each level inspects one vertex's neighborhood.
+    Requires |V| >= binomial_threshold(a, b).  Each step inspects one
+    vertex's neighborhood and lowers a or b by one.
     """
-    need = binomial_threshold(a, b)
-    if g.n < need:
-        raise RamseyPreconditionError(
-            f"below Ramsey threshold: ({a}, {b}) needs {need} vertices, graph has {g.n}"
-        )
-    return _extract(g, tuple(range(g.n)), a, b)
+    kind, members = _extract(g.adjacency_masks, (1 << g.n) - 1, a, b)
+    return CliqueOrIndependent(kind, frozenset(_iter_bits(members)))
+
+
+def _independent_mask(masks: Sequence[int], region: int, r: int, b: int) -> int:
+    """independent_set_of_size on the subgraph induced by the `region`
+    bitmask of the graph with adjacency `masks`, as a bitmask of its ids."""
+    kind, members = _extract(masks, region, r, b)
+    if kind == CLIQUE:
+        raise CliqueAssertionError(frozenset(_iter_bits(members)))
+    return members
 
 
 def independent_set_of_size(g: Graph, r: int, b: int) -> frozenset[int]:
     """Independent set of size >= b in a graph the caller asserts is
-    K_r-free (so the clique branch of the recursion cannot win).
+    K_r-free (so the clique branch of the extraction cannot win).
 
     A clique result contradicts the caller's assertion and is surfaced as
     CliqueAssertionError carrying the clique.
     """
-    res = clique_or_independent(g, r, b)
-    if res.kind == CLIQUE:
-        raise CliqueAssertionError(res.members)
-    return res.members
+    return frozenset(_iter_bits(_independent_mask(g.adjacency_masks, (1 << g.n) - 1, r, b)))

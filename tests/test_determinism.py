@@ -14,7 +14,12 @@ from induced_trees import (
     reroute_through_vertex,
 )
 from induced_trees.bench import connected_ensemble, kr_free_ensemble, triangle_free_ensemble
-from induced_trees.generators import line_graph_balanced_tree, ms_layered
+from induced_trees.generators import (
+    line_graph_balanced_tree,
+    ms_layered,
+    random_kr_free,
+    random_triangle_free,
+)
 
 GOLDEN_SHA256 = "0512babea614ce8e1ccbf20ed7edf2a97aad55b243b5d281b07c1ee94faf5bea"
 
@@ -61,3 +66,29 @@ def test_seeded_outputs_match_golden_digest():
         digest.update(record.encode("utf-8"))
         digest.update(b"\n")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# The golden digest above reaches only graphs of at most 200 vertices; this
+# one pins the random generators on their large sparse inputs (the sizes the
+# benchmark and the CLI examples use) and on dense small inputs, where the
+# clique repair does most of the work.
+GENERATOR_SHA256 = "5bfe22d34442b9df52ac01543b9667b21a4f86b362bb68f2b6aa19be24a8f985"
+
+
+def _generator_records():
+    for n in (1000, 2000, 3000):
+        yield format_edge_list(random_triangle_free(n, 4.0 / n, n))
+    for r in (4, 5):
+        yield format_edge_list(random_kr_free(2000, r, 3.0 / 2000, r))
+    for r in range(3, 7):
+        for n in (12, 30, 60):
+            for p in (0.5, 0.8, 1.0):
+                yield format_edge_list(random_kr_free(n, r, p, 100 * r + n))
+
+
+def test_generator_outputs_match_golden_digest():
+    digest = hashlib.sha256()
+    for record in _generator_records():
+        digest.update(record.encode("utf-8"))
+        digest.update(b"\n")
+    assert digest.hexdigest() == GENERATOR_SHA256

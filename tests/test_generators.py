@@ -157,8 +157,12 @@ class TestAlphaCounterexample:
 
 class TestRandomTriangleFree:
     def test_p_zero_is_a_spanning_tree_of_bridges(self):
-        g = random_triangle_free(8, 0.0, 3)
-        assert g.edge_count == 7 and is_connected(g)
+        # Every vertex is its own component, so every bridge starts at vertex
+        # 0; n = 2000 guards against a rescan per bridge.
+        for n, seed in ((8, 3), (2000, 0)):
+            g = random_triangle_free(n, 0.0, seed)
+            assert g.edge_count == n - 1 and is_connected(g)
+            assert g.degree(0) == n - 1
 
     def test_single_vertex(self):
         assert random_triangle_free(1, 0.5, 0).n == 1

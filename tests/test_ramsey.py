@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from induced_trees import (
     CliqueAssertionError,
@@ -9,7 +11,11 @@ from induced_trees import (
     binomial_threshold,
     clique_or_independent,
     independent_set_of_size,
+    induced_subgraph,
 )
+from induced_trees.generators import random_kr_free
+from induced_trees.graph import _iter_bits
+from induced_trees.ramsey import _independent_mask
 
 
 def complete_graph(n):
@@ -88,6 +94,13 @@ class TestCliqueOrIndependent:
                     check_result(g, res)
 
 
+    def test_long_extraction_needs_no_recursion_limit(self):
+        # The threshold C(1500, 1) = 1500 is met, and every step takes the
+        # independent branch: 1499 steps, past the default recursion limit.
+        res = clique_or_independent(Graph(1500), 2, 1500)
+        assert res == ("independent", frozenset(range(1500)))
+
+
 class TestIndependentSetOfSize:
     def test_empty_graph_takes_first_ids(self):
         got = independent_set_of_size(Graph(6), 3, 3)
@@ -105,3 +118,43 @@ class TestIndependentSetOfSize:
         with pytest.raises(CliqueAssertionError) as excinfo:
             independent_set_of_size(complete_graph(4), 4, 2)
         assert excinfo.value.clique == frozenset({0, 1, 2, 3})
+
+
+def _mask_outcome(g, region, r, b):
+    try:
+        return "independent", _independent_mask(g.adjacency_masks, region, r, b)
+    except RamseyPreconditionError as exc:
+        return "below-threshold", str(exc)
+    except CliqueAssertionError as exc:
+        return "clique", exc.clique
+
+
+def _subgraph_outcome(g, region, r, b):
+    """The reference: independent_set_of_size on the relabelled induced
+    subgraph, with its ids mapped back to the host graph."""
+    sub, mapping = induced_subgraph(g, _iter_bits(region))
+    try:
+        found = independent_set_of_size(sub, r, b)
+        return "independent", sum(1 << mapping[x] for x in found)
+    except RamseyPreconditionError as exc:
+        return "below-threshold", str(exc)
+    except CliqueAssertionError as exc:
+        return "clique", frozenset(mapping[x] for x in exc.clique)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(3, 6),
+    st.floats(0.0, 1.0),
+    st.integers(0, 10**6),
+    st.integers(2, 5),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_region_extraction_equals_the_induced_subgraph(n, r_free, p, seed, r, b, data):
+    # r may be below the graph's clique bound r_free, so the clique
+    # assertion can fail; b may push the threshold past the region size.
+    g = random_kr_free(n, r_free, p, seed)
+    region = data.draw(st.integers(0, (1 << n) - 1))
+    assert _mask_outcome(g, region, r, b) == _subgraph_outcome(g, region, r, b)
