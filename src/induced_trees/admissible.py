@@ -13,8 +13,10 @@ both constructive, plus an exact branch-and-bound optimizer
 (solve_exact) and a randomized dyadic selector that reaches a constant
 fraction of the most populous degree class.
 
-Instances are immutable; solvers are pure apart from the explicit seed
-of the randomized selector, so concurrent use on shared instances is safe.
+An instance stores one adjacency form, a neighbour bitmask per item, and
+every solver reads it.  Instances are immutable; solvers are pure apart
+from the explicit seed of the randomized selector, so concurrent use on
+shared instances is safe.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
+
+from .graph import _iter_bits, _mask_of
 
 DEFAULT_EXHAUSTION_LIMIT = 24
 
@@ -56,50 +60,69 @@ class WeightedBipartiteInstance:
     """Bipartite A/B structure with nonnegative weights on the B side.
 
     Every B-item must have degree >= 1 and all neighbor ids must be below
-    a_count.  Immutable after construction.
+    a_count.  Stores a_count, `weights` and `nbr_masks` (bit a of item i's
+    mask is set when i sees A-id a); `b_items` and `items_of_a` are views
+    built from the masks on first read, so nothing is allocated per A-id.
     """
 
-    __slots__ = ("a_count", "b_items", "nbr_masks", "items_of_a")
+    __slots__ = ("a_count", "weights", "nbr_masks", "_b_items", "_items_of_a")
 
     def __init__(self, a_count: int, b_items: Iterable[tuple[float, Iterable[int]]]):
         if a_count < 1:
             raise ValueError("a_count must be >= 1")
-        items: list[BItem] = []
+        weights: list[float] = []
         masks: list[int] = []
-        items_of_a: list[list[int]] = [[] for _ in range(a_count)]
-        for idx, raw in enumerate(b_items):
-            w, nbrs = raw
-            nbr_set = frozenset(nbrs)
-            if not nbr_set:
+        for idx, (w, nbrs) in enumerate(b_items):
+            mask = 0
+            for a in nbrs:
+                # Checked before the shift, so a huge id allocates nothing.
+                if not (0 <= a < a_count):
+                    raise ValueError(f"b_items[{idx}]: neighbor id out of range")
+                mask |= 1 << a
+            if not mask:
                 raise ValueError(f"b_items[{idx}]: degree must be >= 1")
-            if any(not (0 <= a < a_count) for a in nbr_set):
-                raise ValueError(f"b_items[{idx}]: neighbor id out of range")
             w = float(w)
             if not (w >= 0.0) or math.isinf(w):
                 raise ValueError(f"b_items[{idx}]: weight must be a nonnegative real")
-            items.append(BItem(w, nbr_set))
-            mask = 0
-            for a in nbr_set:
-                mask |= 1 << a
-                items_of_a[a].append(idx)
+            weights.append(w)
             masks.append(mask)
         self.a_count = a_count
-        self.b_items = tuple(items)
+        self.weights = tuple(weights)
         self.nbr_masks = tuple(masks)
-        self.items_of_a = tuple(tuple(lst) for lst in items_of_a)
+        self._b_items = None
+        self._items_of_a = None
+
+    @property
+    def b_items(self) -> tuple[BItem, ...]:
+        """Each item as BItem(weight, frozenset of its A-neighbours)."""
+        if self._b_items is None:
+            pairs = zip(self.weights, self.nbr_masks)
+            self._b_items = tuple(BItem(w, frozenset(_iter_bits(m))) for w, m in pairs)
+        return self._b_items
+
+    @property
+    def items_of_a(self) -> tuple[tuple[int, ...], ...]:
+        """For each A-id, the ascending indices of the items that see it."""
+        if self._items_of_a is None:
+            self._items_of_a = tuple(
+                tuple(i for i, m in enumerate(self.nbr_masks) if m >> a & 1)
+                for a in range(self.a_count)
+            )
+        return self._items_of_a
 
     @property
     def b_count(self) -> int:
-        return len(self.b_items)
+        return len(self.weights)
 
     def total_weight(self) -> float:
-        return math.fsum(item.weight for item in self.b_items)
+        return math.fsum(self.weights)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeightedBipartiteInstance)
             and self.a_count == other.a_count
-            and self.b_items == other.b_items
+            and self.weights == other.weights
+            and self.nbr_masks == other.nbr_masks
         )
 
     def __repr__(self) -> str:
@@ -109,7 +132,8 @@ class WeightedBipartiteInstance:
         payload = {
             "a_count": self.a_count,
             "b_items": [
-                {"w": item.weight, "nbrs": sorted(item.nbrs)} for item in self.b_items
+                {"w": w, "nbrs": list(_iter_bits(m))}
+                for w, m in zip(self.weights, self.nbr_masks)
             ],
         }
         return json.dumps(payload, sort_keys=True)
@@ -124,7 +148,7 @@ class WeightedBipartiteInstance:
             raise InstanceParseError("expected object with 'a_count' and 'b_items'")
         a_count = payload["a_count"]
         raw_items = payload["b_items"]
-        if not isinstance(a_count, int):
+        if not isinstance(a_count, int) or isinstance(a_count, bool):
             raise InstanceParseError("'a_count' must be an integer")
         if not isinstance(raw_items, list):
             raise InstanceParseError("'b_items' must be a list")
@@ -166,11 +190,13 @@ class AdmissibleSelection:
 
     def check(self, inst: WeightedBipartiteInstance) -> None:
         """Re-verify admissibility and the recorded value; raises on failure."""
+        # Ids outside A see no item, so leaving them out of the mask is exact.
+        s_mask = _mask_of(a for a in self.a_chosen if 0 <= a < inst.a_count)
         for i in self.b_chosen:
-            hits = len(inst.b_items[i].nbrs & self.a_chosen)
+            hits = (inst.nbr_masks[i] & s_mask).bit_count()
             if hits != 1:
                 raise ValueError(f"b item {i} has {hits} chosen neighbors, wanted exactly 1")
-        recomputed = math.fsum(inst.b_items[i].weight ** self.alpha for i in self.b_chosen)
+        recomputed = math.fsum(inst.weights[i] ** self.alpha for i in self.b_chosen)
         tol = 1e-12 * max(1.0, abs(recomputed))
         if abs(recomputed - self.value) > tol:
             raise ValueError(f"recorded value {self.value} != recomputed {recomputed}")
@@ -219,14 +245,15 @@ def solve_exact(
             f"exact search infeasible: a_count={a_count} exceeds limit {limit} and no target given"
         )
     nb = inst.b_count
-    wpow = [item.weight ** alpha for item in inst.b_items]
-    items_of = inst.items_of_a
+    masks = inst.nbr_masks
+    wpow = [w ** alpha for w in inst.weights]
+    items_of = [[i for i, m in enumerate(masks) if m >> a & 1] for a in range(a_count)]
     order = sorted(
         range(a_count),
         key=lambda a: (-math.fsum(wpow[i] for i in items_of[a]), a),
     )
     chosen_cnt = [0] * nb
-    undecided = [len(item.nbrs) for item in inst.b_items]
+    undecided = [m.bit_count() for m in masks]
 
     state = {"bound": math.fsum(wpow), "best_val": -1.0, "best_set": None, "stop": False}
     included: list[int] = []
@@ -235,21 +262,13 @@ def solve_exact(
         c = chosen_cnt[i]
         return c == 1 or (c == 0 and undecided[i] > 0)
 
-    def decide(a_id: int, include: bool) -> None:
+    def decide(a_id: int, include: bool, step: int = 1) -> None:
+        """Decide a_id in or out; step=-1 undoes that decision."""
         for i in items_of[a_id]:
             was = counted(i)
-            undecided[i] -= 1
+            undecided[i] -= step
             if include:
-                chosen_cnt[i] += 1
-            if counted(i) != was:
-                state["bound"] += wpow[i] if not was else -wpow[i]
-
-    def undo(a_id: int, include: bool) -> None:
-        for i in items_of[a_id]:
-            was = counted(i)
-            undecided[i] += 1
-            if include:
-                chosen_cnt[i] -= 1
+                chosen_cnt[i] += step
             if counted(i) != was:
                 state["bound"] += wpow[i] if not was else -wpow[i]
 
@@ -269,18 +288,39 @@ def solve_exact(
         included.append(a_id)
         decide(a_id, True)
         search(k + 1)
-        undo(a_id, True)
+        decide(a_id, True, -1)
         included.pop()
         if state["stop"]:
             return
         decide(a_id, False)
         search(k + 1)
-        undo(a_id, False)
+        decide(a_id, False, -1)
 
     search(0)
     best_set = state["best_set"]
     assert best_set is not None
     return AdmissibleSelection(best_set, closure_b(inst, best_set), state["best_val"], alpha)
+
+
+def _survivors(inst: WeightedBipartiteInstance) -> list[int]:
+    """The A-ids reduce_instance keeps, ascending, in one ascending pass.
+
+    An A-id is removable when every item it sees has another live
+    neighbour.  A removal never takes an item below one live neighbour, so
+    an id that is an item's last live neighbour stays one: an id that is
+    not removable never becomes removable, and the pass removes exactly
+    what restarting from the smallest live id after each removal would.
+    """
+    masks = inst.nbr_masks
+    if not masks:
+        raise ValueError("empty B side: every A-id is removable and none survives")
+    live = 0
+    for m in masks:
+        live |= m
+    for a in _iter_bits(live):
+        if all((m & live).bit_count() >= 2 for m in masks if m >> a & 1):
+            live &= ~(1 << a)
+    return list(_iter_bits(live))
 
 
 def reduce_instance(
@@ -293,37 +333,26 @@ def reduce_instance(
     surviving A-id has a private degree-1 item, i.e. the survivors carry an
     induced matching into B.  B is never modified.  Returns the reduced
     instance plus the map from reduced A-ids back to the originals.
+    Raises ValueError on an instance with no items, where every A-id is
+    removable and nothing would survive.
     """
-    live = sorted(range(inst.a_count))
-    degree = [len(item.nbrs) for item in inst.b_items]
-    removed: set[int] = set()
-    while True:
-        victim = None
-        for a in live:
-            if all(degree[i] >= 2 for i in inst.items_of_a[a]):
-                victim = a
-                break
-        if victim is None:
-            break
-        live.remove(victim)
-        removed.add(victim)
-        for i in inst.items_of_a[victim]:
-            degree[i] -= 1
+    live = _survivors(inst)
     new_id = {old: new for new, old in enumerate(live)}
     items = [
-        (item.weight, [new_id[a] for a in item.nbrs if a not in removed])
-        for item in inst.b_items
+        (w, [new_id[a] for a in _iter_bits(m) if a in new_id])
+        for w, m in zip(inst.weights, inst.nbr_masks)
     ]
     return WeightedBipartiteInstance(len(live), items), live
 
 
 def _sqrt_value(inst: WeightedBipartiteInstance, b_ids: Iterable[int]) -> float:
-    return math.fsum(math.sqrt(inst.b_items[i].weight) for i in b_ids)
+    return math.fsum(math.sqrt(inst.weights[i]) for i in b_ids)
 
 
-def _star(inst: WeightedBipartiteInstance, a_id: int) -> AdmissibleSelection:
-    b = closure_b(inst, {a_id})
-    return AdmissibleSelection(frozenset({a_id}), b, _sqrt_value(inst, b), 0.5)
+def _closed(inst: WeightedBipartiteInstance, s: frozenset[int]) -> AdmissibleSelection:
+    """The selection of S = s with its closure, valued by sum sqrt(w)."""
+    b = closure_b(inst, s)
+    return AdmissibleSelection(s, b, _sqrt_value(inst, b), 0.5)
 
 
 def _ceil_sqrt(k: int) -> int:
@@ -343,17 +372,13 @@ def select_uniform(inst: WeightedBipartiteInstance) -> AdmissibleSelection:
     nb = inst.b_count
     if nb == 0:
         return AdmissibleSelection(frozenset({0}), frozenset(), 0.0, 0.5)
-    reduced, back = reduce_instance(inst)
-    if reduced.a_count ** 2 >= nb:
-        s = frozenset(back)
-        b = closure_b(inst, s)
-        sel = AdmissibleSelection(s, b, _sqrt_value(inst, b), 0.5)
+    live = _survivors(inst)
+    if len(live) ** 2 >= nb:
+        sel = _closed(inst, frozenset(live))
     else:
-        best = max(
-            range(reduced.a_count),
-            key=lambda a: (len(reduced.items_of_a[a]), -a),
-        )
-        sel = _star(inst, back[best])
+        masks = inst.nbr_masks
+        best = max(live, key=lambda a: (sum(m >> a & 1 for m in masks), -a))
+        sel = _closed(inst, frozenset({best}))
     need = _ceil_sqrt(nb)
     if len(sel.b_chosen) < need:
         raise LemmaViolationError(
@@ -375,19 +400,17 @@ def select_weighted(inst: WeightedBipartiteInstance) -> AdmissibleSelection:
     total = inst.total_weight()
     target = math.sqrt(total)
     if total == 0.0:
-        return _star(inst, 0)
+        return _closed(inst, frozenset({0}))
 
+    roots = [math.sqrt(w) for w in inst.weights]
     star_vals = [
-        math.fsum(math.sqrt(inst.b_items[i].weight) for i in inst.items_of_a[a])
+        math.fsum(r for r, m in zip(roots, inst.nbr_masks) if m >> a & 1)
         for a in range(inst.a_count)
     ]
     best_a = max(range(inst.a_count), key=lambda a: (star_vals[a], -a))
-    candidate = _star(inst, best_a)
+    candidate = _closed(inst, frozenset({best_a}))
 
-    reduced, back = reduce_instance(inst)
-    s = frozenset(back)
-    b = closure_b(inst, s)
-    matching = AdmissibleSelection(s, b, _sqrt_value(inst, b), 0.5)
+    matching = _closed(inst, frozenset(_survivors(inst)))
     if matching.value > candidate.value:
         candidate = matching
 
@@ -414,7 +437,7 @@ def select_randomized_dyadic(inst: WeightedBipartiteInstance, seed: int) -> Admi
     nb = inst.b_count
     if nb == 0:
         return AdmissibleSelection(frozenset({0}), frozenset(), 0.0, 0.5)
-    degrees = [len(item.nbrs) for item in inst.b_items]
+    degrees = [m.bit_count() for m in inst.nbr_masks]
     max_k = max(degrees).bit_length() - 1
     counts = [
         sum(1 for d in degrees if (1 << k) <= d <= (1 << (k + 1)))

@@ -25,10 +25,12 @@ vertices of each region and returns the subproblems it leaves.  A step
 splits what is left of its region by searches seeded next to the root's
 neighbourhood (graph._component_masks), which leave the last piece
 unwalked, and tests each attachment vertex's mask against each piece, so
-a step costs about the size of the pieces it cuts off, not of the region:
-chains decompose in linear time.  Regions, and the neighbourhoods _kr
-hands to Ramsey extraction, are vertex bitmasks over the immutable host
-graph, so no subgraphs are materialized; all finders are pure.
+a step reads masks only for the pieces it cuts off, not for the region:
+on chains the mask reads are linear, though every step still builds new
+n-bit region ints, so time on P_n grows about 2.7x per doubling of n.
+Regions, and the neighbourhoods _kr hands to Ramsey extraction, are
+vertex bitmasks over the immutable host graph, so no subgraphs are
+materialized; all finders are pure.
 """
 
 from __future__ import annotations
@@ -214,9 +216,10 @@ def _select_attached(masks, nv_mask: int, comp_masks: list[int], select) -> dict
     a_list = list(_iter_bits(nv_mask))
     inst = _attachment_instance(masks, a_list, comp_masks)
     sel = select(inst)
-    only = {i: inst.b_items[i].nbrs & sel.a_chosen for i in sorted(sel.b_chosen)}
-    assert all(len(a) == 1 for a in only.values())
-    return {i: a_list[min(a)] for i, a in only.items()}
+    s_mask = _mask_of(sel.a_chosen)
+    only = {i: inst.nbr_masks[i] & s_mask for i in sorted(sel.b_chosen)}
+    assert all(m.bit_count() == 1 for m in only.values())
+    return {i: a_list[m.bit_length() - 1] for i, m in only.items()}
 
 
 def _grow(g: Graph, v: int, step, *args) -> tuple[frozenset[int], str]:

@@ -130,10 +130,11 @@ def _random_clique_free(n: int, r: int, p: float, seed: int) -> Graph:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
 
-    # Deletions never create cliques, so repeatedly clearing the
-    # lexicographically smallest r-clique matches a single ascending scan.
-    while (clique := _first_clique(masks, r)) is not None:
-        u, v = clique[-2], clique[-1]
+    # Deletions never create cliques, so no clique starts before the one
+    # just cleared, and each scan resumes at that clique's first vertex.
+    start = 0
+    while (clique := _first_clique(masks, r, start)) is not None:
+        start, u, v = clique[0], clique[-2], clique[-1]
         masks[u] &= ~(1 << v)
         masks[v] &= ~(1 << u)
 

@@ -231,17 +231,13 @@ def is_triangle_free(g: Graph) -> bool:
     return find_triangle(g) is None
 
 
-def _first_clique(masks: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest clique of the given size, or None.
+def _first_clique(masks: Sequence[int], size: int, start: int = 0) -> Optional[tuple[int, ...]]:
+    """Lexicographically smallest clique of the given size with no vertex
+    below `start`, or None.
 
     `masks` is per-vertex adjacency as bitmasks; works on raw masks so the
     generators can call it on graphs under construction.
     """
-    if size == 0:
-        return ()
-    n = len(masks)
-    if size == 1:
-        return (0,) if n >= 1 else None
 
     def extend(cand: int, chosen: list[int], need: int) -> Optional[tuple[int, ...]]:
         if need == 0:
@@ -259,7 +255,7 @@ def _first_clique(masks: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
             chosen.pop()
         return None
 
-    return extend((1 << n) - 1, [], size)
+    return extend((1 << len(masks)) - (1 << start), [], size)
 
 
 def find_clique(g: Graph, r: int) -> Optional[frozenset[int]]:

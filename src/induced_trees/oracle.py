@@ -123,7 +123,7 @@ def admissible_naive(
             f"a_count {inst.a_count} exceeds budget {budget.max_a_side}"
         )
     deadline = time.monotonic() + budget.time_limit
-    wpow = [item.weight ** alpha for item in inst.b_items]
+    wpow = [w ** alpha for w in inst.weights]
     nbr_masks = inst.nbr_masks
     best_val = -1.0
     best_mask = 0

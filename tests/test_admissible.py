@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from induced_trees import (
     AdmissibleSelection,
@@ -15,7 +18,9 @@ from induced_trees import (
     select_weighted,
     solve_exact,
 )
+from induced_trees.admissible import BItem
 from induced_trees.generators import alpha_counterexample, dyadic_bipartite
+from induced_trees.graph import _iter_bits
 
 
 def matching_instance(k, weights=None):
@@ -35,6 +40,41 @@ def random_instance(rng, max_a=10, max_b=20):
         degree = rng.randint(1, a)
         items.append((rng.uniform(0.0, 1.0), rng.sample(range(a), degree)))
     return WeightedBipartiteInstance(a, items)
+
+
+def mask_instance(rng, max_a=10, max_b=20):
+    """Like random_instance, but each item's neighbours are read lazily off
+    a random nonzero bitmask."""
+    a = rng.randint(1, max_a)
+    items = [
+        (rng.uniform(0.0, 1.0), _iter_bits(rng.randint(1, (1 << a) - 1)))
+        for _ in range(rng.randint(1, max_b))
+    ]
+    return WeightedBipartiteInstance(a, items)
+
+
+def restart_loop_survivors(inst):
+    """reduce_instance's rule run literally: remove the smallest removable
+    live A-id, then rescan from the start."""
+    live = list(range(inst.a_count))
+    degree = [len(item.nbrs) for item in inst.b_items]
+    while True:
+        victim = next((a for a in live if all(degree[i] >= 2 for i in inst.items_of_a[a])), None)
+        if victim is None:
+            return live
+        live.remove(victim)
+        for i in inst.items_of_a[victim]:
+            degree[i] -= 1
+
+
+@st.composite
+def instance_inputs(draw):
+    a = draw(st.integers(1, 12))
+    weights = st.one_of(
+        st.integers(0, 10), st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+    )
+    nbrs = st.lists(st.integers(0, a - 1), min_size=1, max_size=2 * a)
+    return a, draw(st.lists(st.tuples(weights, nbrs), max_size=10))
 
 
 def ceil_sqrt(x):
@@ -59,6 +99,35 @@ class TestInstanceValidation:
         inst = dyadic_bipartite(2)
         again = WeightedBipartiteInstance.from_json(inst.to_json())
         assert again == inst
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance_inputs())
+    def test_json_round_trip_and_views_match_the_input(self, given_input):
+        a, items = given_input
+        inst = WeightedBipartiteInstance(a, items)
+        assert WeightedBipartiteInstance.from_json(inst.to_json()) == inst
+        assert inst.b_items == tuple(BItem(float(w), frozenset(n)) for w, n in items)
+        assert inst.items_of_a == tuple(
+            tuple(i for i, (_, n) in enumerate(items) if x in n) for x in range(a)
+        )
+
+    @pytest.mark.parametrize("a_count", ["true", "false"])
+    def test_boolean_a_count_rejected(self, a_count):
+        with pytest.raises(InstanceParseError, match="a_count"):
+            WeightedBipartiteInstance.from_json(
+                f'{{"a_count": {a_count}, "b_items": [{{"w": 1, "nbrs": [0]}}]}}'
+            )
+
+    def test_huge_a_count_allocates_nothing_per_a_id(self):
+        text = '{"a_count": 2000000, "b_items": [{"w": 1, "nbrs": [0]}]}'
+        tracemalloc.start()
+        try:
+            inst = WeightedBipartiteInstance.from_json(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inst.a_count == 2000000 and inst.b_count == 1
+        assert peak < 1 << 20
 
     def test_json_item_indexed_error(self):
         with pytest.raises(InstanceParseError, match=r"b_items\[1\]"):
@@ -166,15 +235,20 @@ class TestReduce:
 
     def test_survivors_have_private_items_and_degrees_stay_positive(self):
         rng = random.Random(9)
-        for _ in range(100):
-            inst = random_instance(rng)
+        for k in range(200):
+            inst = random_instance(rng) if k % 2 else mask_instance(rng)
             reduced, back = reduce_instance(inst)
+            assert back == restart_loop_survivors(inst)
             assert len(back) >= 1
             assert reduced.b_count == inst.b_count
             degree = [len(item.nbrs) for item in reduced.b_items]
             assert all(d >= 1 for d in degree)
             for a in range(reduced.a_count):
                 assert any(degree[i] == 1 for i in reduced.items_of_a[a])
+
+    def test_no_items_is_an_error_naming_the_empty_b_side(self):
+        with pytest.raises(ValueError, match="empty B side"):
+            reduce_instance(WeightedBipartiteInstance(3, []))
 
     def test_reduction_preserves_the_weighted_guarantee(self):
         rng = random.Random(13)

@@ -123,6 +123,18 @@ class TestOracle:
         report = json.loads(out)
         assert report["value"] == 7.0 and report["alpha"] == 1.0
 
+    def test_boolean_a_count_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"a_count": true, "b_items": [{"w": 1, "nbrs": [0]}]}')
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2 and out == "" and "a_count" in err
+
+    def test_huge_a_count_is_rejected_by_the_budget(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"a_count": 2000000, "b_items": [{"w": 1, "nbrs": [0]}]}')
+        code, _, err = run(capsys, "oracle", str(path))
+        assert code == 2 and "budget" in err
+
 
 class TestVerify:
     def test_finder_output_passes(self, tmp_path, capsys):

@@ -9,11 +9,13 @@ from induced_trees import (
     Graph,
     OracleBudget,
     TreeCertificate,
+    WeightedBipartiteInstance,
     certificate_failure,
     find_large_tree,
     find_tree,
     find_tree_kr_free,
     find_tree_triangle_free,
+    finders,
     max_induced_tree_exact,
     reroute_through_vertex,
     theorem_bound,
@@ -288,6 +290,31 @@ class TestFindLargeTree:
     def test_single_vertex(self):
         cert = find_large_tree(Graph(1))
         assert cert.vertices == frozenset({0})
+
+
+def test_each_selection_builds_one_instance(monkeypatch):
+    # The finder builds the attachment instance; the selector reads the
+    # survivors of the reduction off it and builds none of its own.
+    built, selections = [], []
+    init = WeightedBipartiteInstance.__init__
+    select = finders.select_weighted
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting_select(inst):
+        selections.append(1)
+        return select(inst)
+
+    monkeypatch.setattr(WeightedBipartiteInstance, "__init__", counting_init)
+    monkeypatch.setattr(finders, "select_weighted", counting_select)
+    for m in range(3, 13):
+        g = ms_layered(m)
+        for v in range(g.n):
+            find_tree(g, v, 3)
+    assert len(selections) > 0
+    assert len(built) == len(selections)
 
 
 class TestRecursionSoundness:
