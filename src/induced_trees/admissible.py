@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
@@ -68,6 +69,7 @@ class WeightedBipartiteInstance:
     __slots__ = ("a_count", "weights", "nbr_masks", "_b_items", "_items_of_a")
 
     def __init__(self, a_count: int, b_items: Iterable[tuple[float, Iterable[int]]]):
+        a_count = operator.index(a_count)  # a float is a TypeError, as in range()
         if a_count < 1:
             raise ValueError("a_count must be >= 1")
         weights: list[float] = []

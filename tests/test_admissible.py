@@ -91,6 +91,10 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=r"b_items\[0\]"):
             WeightedBipartiteInstance(2, [(-0.5, [0])])
 
+    def test_non_integer_a_count_rejected(self):
+        with pytest.raises(TypeError):
+            WeightedBipartiteInstance(2.0, [(1.0, [0])])
+
     def test_out_of_range_neighbor_rejected(self):
         with pytest.raises(ValueError, match=r"b_items\[0\]"):
             WeightedBipartiteInstance(2, [(1.0, [2])])
