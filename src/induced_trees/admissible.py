@@ -142,33 +142,44 @@ class WeightedBipartiteInstance:
 
     @staticmethod
     def from_json(text: str) -> "WeightedBipartiteInstance":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceParseError(f"invalid JSON: {exc}") from None
-        if not isinstance(payload, dict) or "a_count" not in payload or "b_items" not in payload:
-            raise InstanceParseError("expected object with 'a_count' and 'b_items'")
-        a_count = payload["a_count"]
-        raw_items = payload["b_items"]
-        if not isinstance(a_count, int) or isinstance(a_count, bool):
-            raise InstanceParseError("'a_count' must be an integer")
-        if not isinstance(raw_items, list):
-            raise InstanceParseError("'b_items' must be a list")
-        items = []
-        for idx, raw in enumerate(raw_items):
-            if not isinstance(raw, dict) or "w" not in raw or "nbrs" not in raw:
-                raise InstanceParseError(f"b_items[{idx}]: expected object with 'w' and 'nbrs'")
-            if not isinstance(raw["w"], (int, float)) or isinstance(raw["w"], bool):
-                raise InstanceParseError(f"b_items[{idx}]: 'w' must be a number")
-            if not isinstance(raw["nbrs"], list) or any(
-                not isinstance(a, int) or isinstance(a, bool) for a in raw["nbrs"]
-            ):
-                raise InstanceParseError(f"b_items[{idx}]: 'nbrs' must be a list of integers")
-            items.append((raw["w"], raw["nbrs"]))
-        try:
-            return WeightedBipartiteInstance(a_count, items)
-        except ValueError as exc:
-            raise InstanceParseError(str(exc)) from None
+        return _instance_of(*_instance_payload(text))
+
+
+def _instance_payload(text: str) -> tuple[int, list]:
+    """The (a_count, items) of instance JSON, type-checked but not yet
+    range-checked, so a caller can bound a_count before any mask is built."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict) or "a_count" not in payload or "b_items" not in payload:
+        raise InstanceParseError("expected object with 'a_count' and 'b_items'")
+    a_count = payload["a_count"]
+    raw_items = payload["b_items"]
+    if not isinstance(a_count, int) or isinstance(a_count, bool):
+        raise InstanceParseError("'a_count' must be an integer")
+    if not isinstance(raw_items, list):
+        raise InstanceParseError("'b_items' must be a list")
+    items = []
+    for idx, raw in enumerate(raw_items):
+        if not isinstance(raw, dict) or "w" not in raw or "nbrs" not in raw:
+            raise InstanceParseError(f"b_items[{idx}]: expected object with 'w' and 'nbrs'")
+        if not isinstance(raw["w"], (int, float)) or isinstance(raw["w"], bool):
+            raise InstanceParseError(f"b_items[{idx}]: 'w' must be a number")
+        if not isinstance(raw["nbrs"], list) or any(
+            not isinstance(a, int) or isinstance(a, bool) for a in raw["nbrs"]
+        ):
+            raise InstanceParseError(f"b_items[{idx}]: 'nbrs' must be a list of integers")
+        items.append((raw["w"], raw["nbrs"]))
+    return a_count, items
+
+
+def _instance_of(a_count: int, items: list) -> WeightedBipartiteInstance:
+    """The instance of a parsed payload; a range error is a parse error."""
+    try:
+        return WeightedBipartiteInstance(a_count, items)
+    except ValueError as exc:
+        raise InstanceParseError(str(exc)) from None
 
 
 def load_instance(path) -> WeightedBipartiteInstance:

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import bench, finders, generators, oracle
-from .admissible import InstanceParseError, WeightedBipartiteInstance, save_instance
+from .admissible import InstanceParseError, _instance_of, _instance_payload, save_instance
 from .finders import FinderPreconditionError, TreeCertificate
 from .graph import (
     EdgeListParseError,
@@ -178,8 +178,12 @@ def _cmd_find(args) -> int:
 def _cmd_oracle(args) -> int:
     text = args.input.read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        inst = WeightedBipartiteInstance.from_json(text)
+        # Bound a_count before building the instance: a mask costs as many
+        # bits as its highest neighbour id.
+        a_count, items = _instance_payload(text)
         budget = OracleBudget(max_a_side=args.max_n, time_limit=args.time_limit)
+        oracle._check_a_side(a_count, budget)
+        inst = _instance_of(a_count, items)
         sel = oracle.admissible_naive(inst, alpha=args.alpha, budget=budget)
         print(
             json.dumps(

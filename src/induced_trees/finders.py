@@ -6,7 +6,8 @@ Three constructions:
     vertices, an induced tree of size at least sqrt(N-1) + 1 through any
     prescribed root.  Either the root's star is already big enough, or the
     graph decomposes around the root's neighborhood and a weighted
-    admissible selection picks which components to recurse into.
+    admissible selection picks which components to recurse into; a lone
+    component is taken with its lowest attachment, building no instance.
 
   * find_tree_kr_free: in a connected K_r-free graph (r >= 4), an induced
     tree of size at least ln(N-1)/(4 ln r) + 1 through any root, using
@@ -27,7 +28,7 @@ neighbourhood (graph._component_masks), which leave the last piece
 unwalked, and tests each attachment vertex's mask against each piece, so
 a step reads masks only for the pieces it cuts off, not for the region:
 on chains the mask reads are linear, though every step still builds new
-n-bit region ints, so time on P_n grows about 2.7x per doubling of n.
+n-bit region ints, so time on P_n grows about 3x per doubling of n.
 Regions, and the neighbourhoods _kr hands to Ramsey extraction, are
 vertex bitmasks over the immutable host graph, so no subgraphs are
 materialized; all finders are pure.
@@ -209,6 +210,11 @@ def _attachment_instance(
     return WeightedBipartiteInstance(len(a_list), items)
 
 
+def _first_attachment(masks, nv_mask: int, comp: int) -> int:
+    """The lowest vertex of `nv_mask` that sees some vertex of `comp`."""
+    return next(a for a in _iter_bits(nv_mask) if masks[a] & comp)
+
+
 def _select_attached(masks, nv_mask: int, comp_masks: list[int], select) -> dict[int, int]:
     """Run `select` on the attachment instance of the components around the
     root's neighbourhood `nv_mask`; maps each chosen component's index, in
@@ -266,7 +272,10 @@ def _tf(g: Graph, region: int, v: int) -> tuple[int, str, list[tuple[int, int]]]
         return (1 << v) | nv_mask, "star", []
     rest = region & ~nv_mask & ~(1 << v)
     comps = _component_masks(masks, rest, _adjacent_to(masks, nv_mask) & rest)
-    attach = _select_attached(masks, nv_mask, comps, select_weighted)
+    if len(comps) == 1:  # meets the lemma alone, at select_weighted's pick
+        attach = {0: _first_attachment(masks, nv_mask, comps[0])}
+    else:
+        attach = _select_attached(masks, nv_mask, comps, select_weighted)
     return 1 << v, "decompose", [(comps[i] | (1 << u), u) for i, u in attach.items()]
 
 
@@ -337,7 +346,7 @@ def _kr(g: Graph, region: int, v: int, r: int) -> tuple[int, str, list[tuple[int
 
     big = max(comps, key=int.bit_count, default=0)
     if big.bit_count() * r4 > n:
-        u = next(a for a in _iter_bits(nv_mask) if masks[a] & big)
+        u = _first_attachment(masks, nv_mask, big)
         return 1 << v, "big-component", [(big | (1 << u), u)]
 
     big_comps = [comp for comp in comps if comp.bit_count() ** 2 * r4 >= n]

@@ -109,6 +109,11 @@ def max_tree_through_vertex_exact(
     return search.best_size, frozenset(_iter_bits(search.best_set))
 
 
+def _check_a_side(a_count: int, budget: OracleBudget) -> None:
+    if a_count > budget.max_a_side:
+        raise BudgetExceededError(f"a_count {a_count} exceeds budget {budget.max_a_side}")
+
+
 def admissible_naive(
     inst: WeightedBipartiteInstance,
     alpha: float = 0.5,
@@ -118,10 +123,7 @@ def admissible_naive(
     with its forced closure.  Used to cross-check solve_exact."""
     budget = budget or OracleBudget()
     _check_alpha(alpha)
-    if inst.a_count > budget.max_a_side:
-        raise BudgetExceededError(
-            f"a_count {inst.a_count} exceeds budget {budget.max_a_side}"
-        )
+    _check_a_side(inst.a_count, budget)
     deadline = time.monotonic() + budget.time_limit
     wpow = [w ** alpha for w in inst.weights]
     nbr_masks = inst.nbr_masks

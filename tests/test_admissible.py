@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from induced_trees import (
@@ -11,6 +11,7 @@ from induced_trees import (
     ExhaustionLimitError,
     InstanceParseError,
     WeightedBipartiteInstance,
+    admissible_naive,
     closure_b,
     reduce_instance,
     select_randomized_dyadic,
@@ -18,7 +19,7 @@ from induced_trees import (
     select_weighted,
     solve_exact,
 )
-from induced_trees.admissible import BItem
+from induced_trees.admissible import LEMMA_SLACK, BItem
 from induced_trees.generators import alpha_counterexample, dyadic_bipartite
 from induced_trees.graph import _iter_bits
 
@@ -197,6 +198,15 @@ class TestSolveExact:
         with pytest.raises(ValueError):
             solve_exact(matching_instance(2), alpha=1.5)
 
+    @settings(max_examples=150, deadline=None)
+    @given(instance_inputs())
+    def test_matches_the_naive_optimum(self, given_input):
+        a, items = given_input
+        assume(a <= 8)
+        inst = WeightedBipartiteInstance(a, items)
+        exact, naive = solve_exact(inst).value, admissible_naive(inst).value
+        assert math.isclose(exact, naive, rel_tol=1e-12, abs_tol=1e-12)
+
     def test_monotone_in_added_items(self):
         rng = random.Random(21)
         for _ in range(60):
@@ -316,6 +326,25 @@ class TestSelectWeighted:
             sel = select_weighted(inst)
             sel.check(inst)
             assert sel.value >= math.sqrt(inst.total_weight()) - 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance_inputs())
+    def test_any_instance_meets_sqrt_total(self, given_input):
+        inst = WeightedBipartiteInstance(*given_input)
+        sel = select_weighted(inst)
+        sel.check(inst)
+        assert sel.value >= math.sqrt(inst.total_weight()) - LEMMA_SLACK
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance_inputs())
+    def test_one_item_goes_to_its_lowest_neighbour(self, given_input):
+        # The finders take a lone component at its lowest attachment
+        # without selecting; this is the pair the selection would return.
+        a, items = given_input
+        assume(items and items[0][0] > 0)
+        w, nbrs = items[0]
+        sel = select_weighted(WeightedBipartiteInstance(a, [(w, nbrs)]))
+        assert (sel.a_chosen, sel.b_chosen) == ({min(nbrs)}, {0})
 
 
 class TestSelectRandomizedDyadic:

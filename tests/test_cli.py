@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -134,6 +135,20 @@ class TestOracle:
         path.write_text('{"a_count": 2000000, "b_items": [{"w": 1, "nbrs": [0]}]}')
         code, _, err = run(capsys, "oracle", str(path))
         assert code == 2 and "budget" in err
+
+    def test_huge_neighbour_id_is_rejected_before_its_mask_is_built(self, tmp_path, capsys):
+        # A mask costs as many bits as its highest id, 12.5 MB here.
+        path = tmp_path / "huge_id.json"
+        path.write_text('{"a_count": 100000000, "b_items": [{"w": 1, "nbrs": [99999999]}]}')
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "oracle", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "budget error: a_count 100000000 exceeds budget 20" in err
+        assert peak < 1 << 20
 
 
 class TestVerify:

@@ -294,10 +294,13 @@ class TestFindLargeTree:
 
 def test_each_selection_builds_one_instance(monkeypatch):
     # The finder builds the attachment instance; the selector reads the
-    # survivors of the reduction off it and builds none of its own.
-    built, selections = [], []
+    # survivors of the reduction off it and builds none of its own.  A
+    # split that leaves one component is taken at its lowest attachment,
+    # so only splits into two or more components build and select.
+    built, selections, splits, choices = [], [], [], []
     init = WeightedBipartiteInstance.__init__
     select = finders.select_weighted
+    split = finders._component_masks
 
     def counting_init(self, *args):
         built.append(1)
@@ -307,14 +310,22 @@ def test_each_selection_builds_one_instance(monkeypatch):
         selections.append(1)
         return select(inst)
 
+    def counting_split(*args):
+        comps = split(*args)
+        splits.append(1)
+        if len(comps) >= 2:
+            choices.append(1)
+        return comps
+
     monkeypatch.setattr(WeightedBipartiteInstance, "__init__", counting_init)
     monkeypatch.setattr(finders, "select_weighted", counting_select)
+    monkeypatch.setattr(finders, "_component_masks", counting_split)
     for m in range(3, 13):
         g = ms_layered(m)
         for v in range(g.n):
             find_tree(g, v, 3)
-    assert len(selections) > 0
-    assert len(built) == len(selections)
+    assert len(built) == len(selections) == len(choices)
+    assert (len(selections), len(splits)) == (120, 616)
 
 
 class TestRecursionSoundness:
