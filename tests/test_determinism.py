@@ -4,6 +4,7 @@ across refactors, so any change to a finder's choices, a certificate's
 JSON form or the edge-list format moves this digest."""
 
 import hashlib
+from functools import cache
 
 from induced_trees import (
     Graph,
@@ -75,11 +76,19 @@ def test_seeded_outputs_match_golden_digest():
 GENERATOR_SHA256 = "5bfe22d34442b9df52ac01543b9667b21a4f86b362bb68f2b6aa19be24a8f985"
 
 
+@cache
+def _large_random_graphs():
+    """The seeded large sparse graphs: triangle-free at n = 1000, 2000 and
+    3000, then K_r-free at n = 2000 for r = 4 and 5."""
+    triangle_free = [random_triangle_free(n, 4.0 / n, n) for n in (1000, 2000, 3000)]
+    kr_free = [random_kr_free(2000, r, 3.0 / 2000, r) for r in (4, 5)]
+    return triangle_free, kr_free
+
+
 def _generator_records():
-    for n in (1000, 2000, 3000):
-        yield format_edge_list(random_triangle_free(n, 4.0 / n, n))
-    for r in (4, 5):
-        yield format_edge_list(random_kr_free(2000, r, 3.0 / 2000, r))
+    triangle_free, kr_free = _large_random_graphs()
+    for g in triangle_free + kr_free:
+        yield format_edge_list(g)
     for r in range(3, 7):
         for n in (12, 30, 60):
             for p in (0.5, 0.8, 1.0):
@@ -92,3 +101,29 @@ def test_generator_outputs_match_golden_digest():
         digest.update(record.encode("utf-8"))
         digest.update(b"\n")
     assert digest.hexdigest() == GENERATOR_SHA256
+
+
+# Certificates on the large inputs the benchmark runs (up to 3069
+# vertices), where the finders' masks are thousands of bits wide; the
+# golden digest above never leaves small ints.
+LARGE_SHA256 = "c80b0796625fe7f68551637fe1c47d6bbff8eb4561ab18dc891f0d48d2acfe10"
+
+
+def _large_records():
+    triangle_free, kr_free = _large_random_graphs()
+    for g in triangle_free:
+        for v in _spread_roots(g.n):
+            yield find_tree_triangle_free(g, v).to_json()
+    for g in (Graph(1500, [(i, i + 1) for i in range(1499)]), _cycle(1500)):
+        yield find_tree_triangle_free(g, 0).to_json()
+    for r, g in [(4, line_graph_balanced_tree(4, 10))] + list(zip((4, 5), kr_free)):
+        for v in _spread_roots(g.n):
+            yield find_tree_kr_free(g, v, r).to_json()
+
+
+def test_large_input_certificates_match_golden_digest():
+    digest = hashlib.sha256()
+    for record in _large_records():
+        digest.update(record.encode("utf-8"))
+        digest.update(b"\n")
+    assert digest.hexdigest() == LARGE_SHA256
