@@ -26,6 +26,7 @@ from .admissible import InstanceParseError, _instance_of, _instance_payload, sav
 from .finders import FinderPreconditionError, TreeCertificate
 from .graph import (
     EdgeListParseError,
+    edge_list_header,
     format_edge_list,
     load_edge_list,
     parse_edge_list,
@@ -147,7 +148,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_find(args) -> int:
-    g = load_edge_list(args.graph)
+    text = args.graph.read_text(encoding="utf-8")
+    # Check the header before the n masks, Θ(n²) bits, are allocated.
+    n, m = edge_list_header(text)
+    if n > m + 1:
+        raise ValueError(
+            f"header '{n} {m}': a connected graph on {n} vertices needs "
+            f"at least {n - 1} edges"
+        )
+    g = parse_edge_list(text)
     if args.r < 3:
         raise ValueError("--r must be >= 3")
     started = time.monotonic()
@@ -199,8 +208,13 @@ def _cmd_oracle(args) -> int:
             )
         )
         return 0
-    g = parse_edge_list(text)
     budget = OracleBudget(max_vertices=args.max_n, time_limit=args.time_limit)
+    n, m = edge_list_header(text)
+    if n > budget.max_vertices:
+        raise BudgetExceededError(
+            f"header '{n} {m}': graph has {n} vertices, --max-n allows {budget.max_vertices}"
+        )
+    g = parse_edge_list(text)
     if args.root is None:
         size, witness = oracle.max_induced_tree_exact(g, budget)
     else:

@@ -12,6 +12,7 @@ from induced_trees import (
     load_edge_list,
     save_edge_list,
 )
+from induced_trees import cli
 from induced_trees.cli import main
 from induced_trees.generators import ms_layered
 
@@ -90,6 +91,21 @@ class TestFind:
         code, _, err = run(capsys, "find", str(path), "--root", "0")
         assert code == 2 and "line 2" in err
 
+    def test_header_with_too_few_edges_is_rejected_before_parsing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 6 vertices and 2 edges cannot be connected; no mask is built.
+        path = tmp_path / "sparse.txt"
+        path.write_text("6 2\n0 1\n1 2\n")
+        monkeypatch.setattr(cli, "parse_edge_list", _never_parse)
+        code, out, err = run(capsys, "find", str(path), "--root", "0")
+        assert code == 2 and out == ""
+        assert "header '6 2'" in err
+
+
+def _never_parse(text):
+    raise AssertionError("the header check should have rejected the file")
+
 
 class TestOracle:
     def test_k5_maximum_is_two(self, tmp_path, capsys):
@@ -109,6 +125,14 @@ class TestOracle:
         save_edge_list(ms_layered(5), path)
         code, _, err = run(capsys, "oracle", str(path))
         assert code == 2 and "budget" in err
+
+    def test_header_over_max_n_is_rejected_before_parsing(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "wide.txt"
+        path.write_text("21 1\n0 1\n")
+        monkeypatch.setattr(cli, "parse_edge_list", _never_parse)
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2 and out == ""
+        assert "header '21 1'" in err and "--max-n allows 20" in err
 
     def test_raised_budget_allows_it(self, tmp_path, capsys):
         path = tmp_path / "ms5.txt"
@@ -160,6 +184,15 @@ class TestVerify:
             capsys, "find", str(gpath), "--root", "0", "--r", "3", "--out", str(cpath)
         )
         assert code == 0
+        code, out, _ = run(capsys, "verify", str(gpath), str(cpath))
+        assert code == 0 and json.loads(out)["reason"] == "ok"
+
+    def test_disconnected_header_still_parses(self, tmp_path, capsys):
+        # Only find needs a connected graph; verify reads the file as it is.
+        gpath = tmp_path / "sparse.txt"
+        gpath.write_text("6 2\n0 1\n1 2\n")
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(TreeCertificate(frozenset({0, 1, 2}), 0, 1.0).to_json())
         code, out, _ = run(capsys, "verify", str(gpath), str(cpath))
         assert code == 0 and json.loads(out)["reason"] == "ok"
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from induced_trees import Graph, find_tree, theorem_bound, verify_certificate
-from induced_trees.finders import BOUND_EPS, _adjacent_to
+from induced_trees.finders import BOUND_EPS
 from induced_trees.generators import random_kr_free
-from induced_trees.graph import _component_masks, _iter_bits
+from induced_trees.graph import _component_masks, _iter_bits, _neighbour_union
 
 
 class CountingMasks(Sequence):
@@ -118,7 +118,7 @@ def test_kr_free_certificates_verify_and_meet_the_bound(n, r, p, seed, root):
 
 def test_path_region_with_one_seed_reads_no_mask():
     masks = CountingMasks(path_graph(1000).adjacency_masks)
-    region = ((1 << 1000) - 1) & ~1
+    region = ((1 << 1000) - 1) ^ 1
     assert _component_masks(masks, region, 1 << 1) == [region]
     assert masks.reads == 0
 
@@ -128,8 +128,8 @@ def test_first_split_of_a_cycle_reads_at_most_n_masks():
     n = 2001
     masks = CountingMasks(cycle_graph(n).adjacency_masks)
     nv_mask = (1 << 1) | (1 << (n - 1))
-    rest = ((1 << n) - 1) & ~nv_mask & ~1
-    seeds = _adjacent_to(masks.masks, nv_mask) & rest
+    rest = ((1 << n) - 1) ^ nv_mask ^ 1
+    seeds = _neighbour_union(masks.masks, nv_mask) & rest
     assert _component_masks(masks, rest, seeds) == [rest]
     assert masks.reads <= n
 

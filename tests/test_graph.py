@@ -18,6 +18,7 @@ from induced_trees import (
     shortest_path,
 )
 from induced_trees.generators import line_graph_balanced_tree, ms_layered
+from induced_trees.graph import edge_list_header
 
 
 def path_graph(n):
@@ -278,6 +279,27 @@ class TestEdgeListFormat:
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("3 2\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n\n", "line 1: missing '<n> <m>' header"),
+            (" \n", "line 1: header must be '<n> <m>'"),
+            ("3 x\n", "line 1: header must contain two integers"),
+            ("-1 0\n", "line 1: header counts must be nonnegative"),
+        ],
+    )
+    def test_header_errors(self, text, message):
+        for parse in (edge_list_header, parse_edge_list):
+            with pytest.raises(EdgeListParseError) as excinfo:
+                parse(text)
+            assert str(excinfo.value) == message
+
+    def test_header_is_read_from_the_first_line_alone(self):
+        assert edge_list_header("6 2\nnot an edge\n") == (6, 2)
+
+    def test_disconnected_graph_parses(self):
+        assert parse_edge_list("6 2\n0 1\n1 2\n").n == 6
 
 
 class TestInducedSubgraph:
