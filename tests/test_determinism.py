@@ -25,6 +25,15 @@ from induced_trees.generators import (
 GOLDEN_SHA256 = "0512babea614ce8e1ccbf20ed7edf2a97aad55b243b5d281b07c1ee94faf5bea"
 
 
+def _digest(records) -> str:
+    """sha256 over the records, each followed by a newline."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(record.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def _spread_roots(n: int) -> list[int]:
     return sorted({0, n // 2, n - 1})
 
@@ -62,11 +71,7 @@ def _records():
 
 
 def test_seeded_outputs_match_golden_digest():
-    digest = hashlib.sha256()
-    for record in _records():
-        digest.update(record.encode("utf-8"))
-        digest.update(b"\n")
-    assert digest.hexdigest() == GOLDEN_SHA256
+    assert _digest(_records()) == GOLDEN_SHA256
 
 
 # The golden digest above reaches only graphs of at most 200 vertices; this
@@ -96,11 +101,7 @@ def _generator_records():
 
 
 def test_generator_outputs_match_golden_digest():
-    digest = hashlib.sha256()
-    for record in _generator_records():
-        digest.update(record.encode("utf-8"))
-        digest.update(b"\n")
-    assert digest.hexdigest() == GENERATOR_SHA256
+    assert _digest(_generator_records()) == GENERATOR_SHA256
 
 
 # Certificates on the large inputs the benchmark runs (up to 3069
@@ -122,8 +123,4 @@ def _large_records():
 
 
 def test_large_input_certificates_match_golden_digest():
-    digest = hashlib.sha256()
-    for record in _large_records():
-        digest.update(record.encode("utf-8"))
-        digest.update(b"\n")
-    assert digest.hexdigest() == LARGE_SHA256
+    assert _digest(_large_records()) == LARGE_SHA256

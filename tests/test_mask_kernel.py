@@ -73,7 +73,7 @@ def test_iter_bits_lists_the_set_bits_ascending(mask):
     assert _iter_bits(mask) == sorted(bits_of(mask))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.lists(wide_masks, min_size=1, max_size=24), st.data())
 def test_neighbour_union_equals_the_set_union(masks, data):
     vertices = data.draw(st.sets(st.integers(0, len(masks) - 1)))
