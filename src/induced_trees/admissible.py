@@ -332,7 +332,7 @@ def _survivors(inst: WeightedBipartiteInstance) -> list[int]:
         live |= m
     for a in _iter_bits(live):
         if all((m & live).bit_count() >= 2 for m in masks if m >> a & 1):
-            live &= ~(1 << a)
+            live ^= 1 << a
     return list(_iter_bits(live))
 
 

@@ -21,21 +21,22 @@ Three constructions:
 find_tree(g, v, r) picks between the first two by r; theorem_bound(n, r)
 is the size they guarantee.  Both run one loop, _grow, over a stack of
 pending (region, root) subproblems, so no chain is too long for the
-interpreter's recursion limit; a one-level step (_tf or _kr) fixes some tree
-vertices of each region and returns the subproblems it leaves.  A step
-splits what is left of its region by searches seeded next to the root's
-neighbourhood (graph._component_masks), which leave the last piece
-unwalked, and tests each attachment vertex's mask against each piece, so
-a step reads masks only for the pieces it cuts off, not for the region:
-on chains the mask reads are linear, though every step still builds new
-n-bit region ints, so time on P_n grows about 3x per doubling of n
-(P_20000 about 0.4 s, P_40000 about 1.5 s with Python 3.11 on a 2-core
-x86 host).  Region differences are written `a ^ b` with b inside a, and
-layers expand through graph._neighbour_union, so no step builds a
-negative int.
-Regions, and the neighbourhoods _kr hands to Ramsey extraction, are
-vertex bitmasks over the immutable host graph, so no subgraphs are
-materialized; all finders are pure.
+interpreter's recursion limit; a one-level step (_tf or _kr) gets each
+region with its vertex count, fixes some tree vertices of it and returns
+the subproblems it leaves.  A step splits what is left of its region by
+searches seeded next to the root's neighbourhood (graph._component_masks),
+which leave the last piece unwalked, and tests each attachment vertex's
+mask against each piece, so a step reads masks only for the pieces it
+cuts off, not for the region: on chains the mask reads are linear, though
+every step still builds new n-bit region ints, so time on P_n grows about
+3x per doubling of n (P_20000 about 0.4 s, P_40000 about 1.5 s with
+Python 3.11 on a 2-core x86 host).  Region differences are written
+`a ^ b` with b inside a, and layers expand through
+graph._neighbour_union, so no step builds a negative int.
+Regions, the neighbourhoods _kr hands to Ramsey extraction and the
+subtrees reroute_through_vertex colours are vertex bitmasks over the
+immutable host graph, so no subgraphs are materialized; all finders are
+pure.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import json
 import logging
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +53,7 @@ from .graph import (
     Graph,
     _component_masks,
     _iter_bits,
+    _low_bit,
     _mask_of,
     _neighbour_union,
     components_of,
@@ -186,10 +187,6 @@ def _check_input(g: Graph, v: int, r: int = 3, r_min: int = 3) -> None:
         raise ValueError(f"vertex {v} out of range")
     if r < r_min:
         raise ValueError(f"r must be >= {r_min}")
-    _check_connected(g)
-
-
-def _check_connected(g: Graph) -> None:
     if not is_connected(g):
         raise FinderPreconditionError("graph is disconnected", witness=components_of(g)[0])
 
@@ -229,17 +226,19 @@ def _grow(g: Graph, v: int, step, *args) -> tuple[frozenset[int], str]:
     """The decomposition loop both finders share.  Pending (region, root)
     subproblems wait on a stack, starting with the whole graph at v; a region
     of at most 2 vertices is taken whole, any other goes to `step(g, region,
-    root, *args)`, which returns the tree vertices it fixes (a bitmask), its
-    strategy and its subproblems.  Returns the union of the fixed vertices
-    and the first step's strategy."""
+    size, root, *args)` with its vertex count `size`, counted once here;
+    the step returns the tree vertices it fixes (a bitmask), its strategy
+    and its subproblems.  Returns the union of the fixed vertices and the
+    first step's strategy."""
     tree, top = 0, None
     stack = [((1 << g.n) - 1, v)]
     while stack:
         region, root = stack.pop()
-        if region.bit_count() <= 2:
+        size = region.bit_count()
+        if size <= 2:
             fixed, strategy, subproblems = region, "base", []
         else:
-            fixed, strategy, subproblems = step(g, region, root, *args)
+            fixed, strategy, subproblems = step(g, region, size, root, *args)
         tree |= fixed
         top = top or strategy
         stack.extend(subproblems)
@@ -259,13 +258,13 @@ def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
     return TreeCertificate(verts, v, theorem_bound(g.n - 1, 3) + 1.0, strategy)
 
 
-def _tf(g: Graph, region: int, v: int) -> tuple[int, str, list[tuple[int, int]]]:
-    """One step in the connected triangle-free `region` rooted at v: the
-    root's star if it meets the bound, else the root alone plus one
-    subproblem per component the weighted selection picks."""
+def _tf(g: Graph, region: int, size: int, v: int) -> tuple[int, str, list[tuple[int, int]]]:
+    """One step in the connected triangle-free `region` of `size` vertices
+    rooted at v: the root's star if it meets the bound, else the root alone
+    plus one subproblem per component the weighted selection picks."""
     masks = g.adjacency_masks
     nv_mask = masks[v] & region
-    if nv_mask.bit_count() ** 2 >= region.bit_count() - 1:
+    if nv_mask.bit_count() ** 2 >= size - 1:
         return (1 << v) | nv_mask, "star", []
     rest = region ^ nv_mask ^ (1 << v)
     comps = _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)
@@ -317,12 +316,12 @@ def _choose_branch_pair(
     return pair, "two-branches" if distinct else "shared-attachment"
 
 
-def _kr(g: Graph, region: int, v: int, r: int) -> tuple[int, str, list[tuple[int, int]]]:
-    """One step in the connected K_r-free `region` rooted at v: a Ramsey
-    star or broom if a neighbourhood is large, else the root plus one
-    subproblem in the biggest component or two picked by uniform selection."""
+def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, list[tuple[int, int]]]:
+    """One step in the connected K_r-free `region` of `size` vertices rooted
+    at v: a Ramsey star or broom if a neighbourhood is large, else the root
+    plus one subproblem in the biggest component or two picked by uniform
+    selection."""
     masks = g.adjacency_masks
-    size = region.bit_count()
     n = size - 1
     nv_mask = masks[v] & region
     b_need = max(1, math.ceil(theorem_bound(n, r)))
@@ -377,11 +376,10 @@ def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCer
     attachment points of T.  T splits into subtrees around those points
     (each T-vertex joins its nearest attachment, ties to the smallest
     index); the quotient graph of the split is a tree, hence 2-colorable,
-    and the heavier color class joins the path.
+    and the heavier color class (on a tie, the first subtree's) joins the
+    path.
     """
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    _check_connected(g)
+    _check_input(g, v)
     reason = certificate_failure(g, t_cert)
     if reason is not None:
         raise FinderPreconditionError(f"input certificate invalid: {reason}")
@@ -393,63 +391,53 @@ def reroute_through_vertex(g: Graph, t_cert: TreeCertificate, v: int) -> TreeCer
             return TreeCertificate(t, v, bound, "contains-root")
         if g.n == 1:
             return TreeCertificate(t, v, 1.0, "single-vertex")
-        return TreeCertificate(frozenset({v, min(_iter_bits(masks[v]))}), v, bound, "grown-edge")
+        return TreeCertificate(frozenset({v, _low_bit(masks[v])}), v, bound, "grown-edge")
 
     path = shortest_path(g, v, t)
     body = path[:-1]
-    last = body[-1]
     t_mask = _mask_of(t)
-    attach_pts = list(_iter_bits(masks[last] & t_mask))
-    adj_t = {x: list(_iter_bits(masks[x] & t_mask)) for x in t}
+    attach = masks[body[-1]] & t_mask
+    # Subtree i starts at the i-th attachment point; each round grows every
+    # subtree by one layer in index order, so a T-vertex joins its nearest
+    # attachment, ties to the smallest index.  T is connected: `left` empties.
+    subtrees = [1 << a for a in _iter_bits(attach)]
+    fronts = list(subtrees)
+    left = t_mask ^ attach
+    while left:
+        for i, front in enumerate(fronts):
+            front = _neighbour_union(masks, front) & left
+            left ^= front
+            fronts[i] = front
+            subtrees[i] |= front
 
-    label = {s: idx for idx, s in enumerate(attach_pts)}
-    queue = deque(attach_pts)
-    while queue:
-        x = queue.popleft()
-        for y in adj_t[x]:
-            if y not in label:
-                label[y] = label[x]
-                queue.append(y)
-
-    k = len(attach_pts)
-    aux_adj: list[set[int]] = [set() for _ in range(k)]
-    for x in sorted(t):
-        for y in adj_t[x]:
-            if y > x and label[x] != label[y]:
-                aux_adj[label[x]].add(label[y])
-                aux_adj[label[y]].add(label[x])
-
-    color: dict[int, int] = {}
-    for start in range(k):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(aux_adj[x]):
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    raise InternalInvariantError(
-                        "auxiliary subtree graph is not bipartite",
-                        dump={
-                            "tree": sorted(t),
-                            "root": v,
-                            "path": path,
-                            "attachments": attach_pts,
-                            "labels": {x: label[x] for x in sorted(t)},
-                        },
-                    )
-
-    covered = [0, 0]
-    for x in t:
-        covered[color[label[x]]] += 1
-    pick = 0 if covered[0] >= covered[1] else 1
-    verts = set(body)
-    verts.update(x for x in t if color[label[x]] == pick)
-    return TreeCertificate(frozenset(verts), v, bound, "reroute")
+    # The quotient tree on subtree indices, 2-coloured by BFS parity from
+    # subtree 0; sides[c] holds the T-vertices of colour c.
+    seen_by = [_neighbour_union(masks, s) for s in subtrees]
+    quotient = [
+        _mask_of(j for j, other in enumerate(subtrees) if j != i and seen & other)
+        for i, seen in enumerate(seen_by)
+    ]
+    sides = [subtrees[0], 0]
+    front = reached = 1
+    colour = 0
+    while front:
+        nxt = _neighbour_union(quotient, front)
+        if nxt & front:
+            raise InternalInvariantError(
+                "auxiliary subtree graph is not bipartite",
+                dump={
+                    "tree": sorted(t),
+                    "root": v,
+                    "path": path,
+                    "subtrees": [_iter_bits(s) for s in subtrees],
+                },
+            )
+        front = nxt ^ (nxt & reached)
+        reached |= front
+        colour ^= 1
+        sides[colour] |= _neighbour_union(subtrees, front)
+    pick = sides[0] if sides[0].bit_count() >= sides[1].bit_count() else sides[1]
+    return TreeCertificate(frozenset(_iter_bits(_mask_of(body) | pick)), v, bound, "reroute")
 
 
 def find_tree(g: Graph, v: int, r: int) -> TreeCertificate:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .admissible import WeightedBipartiteInstance
-from .graph import Graph, _component_masks, _first_clique, _iter_edges
+from .graph import Graph, _component_masks, _first_clique, _iter_edges, _low_bit
 
 
 def _layered_complete(part_sizes: list[int]) -> Graph:
@@ -135,18 +135,17 @@ def _random_clique_free(n: int, r: int, p: float, seed: int) -> Graph:
     start = 0
     while (clique := _first_clique(masks, r, start)) is not None:
         start, u, v = clique[0], clique[-2], clique[-1]
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
 
     # The first component holds vertex 0; a bridge from 0 to the lowest
     # vertex of each later component connects the graph.  Its ends lie in
     # different components, so they share no neighbour and the bridge closes
     # no triangle, hence no clique.
     for comp in _component_masks(masks, (1 << n) - 1)[1:]:
-        low = comp & -comp
-        y = low.bit_length() - 1
+        y = _low_bit(comp)
         assert not masks[0] & masks[y]
-        masks[0] |= low
+        masks[0] |= 1 << y
         masks[y] |= 1
     return Graph(n, _iter_edges(masks))
 

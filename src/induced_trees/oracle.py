@@ -52,10 +52,11 @@ class _TreeSearch:
             self.best_set = s_mask
         if self.best_size == self.n:
             return
-        pool = universe & ~forbidden & ~s_mask
+        out = forbidden | s_mask
+        pool = universe ^ (universe & out)
         if size + pool.bit_count() <= self.best_size:
             return
-        ext = nbr_mask & ~forbidden & ~s_mask
+        ext = nbr_mask ^ (nbr_mask & out)
         fb = forbidden
         for u in _iter_bits(ext):
             if (self.masks[u] & s_mask).bit_count() == 1:
@@ -83,7 +84,7 @@ def max_induced_tree_exact(
     search = _TreeSearch(g, time.monotonic() + budget.time_limit)
     full = (1 << g.n) - 1
     for seed in range(g.n):
-        universe = full & ~((1 << (seed + 1)) - 1)
+        universe = full ^ ((1 << (seed + 1)) - 1)
         search.grow(1 << seed, 1, 0, search.masks[seed] & universe, universe)
         if search.best_size == g.n:
             break
@@ -104,7 +105,7 @@ def max_tree_through_vertex_exact(
             f"graph has {g.n} vertices, budget allows {budget.max_vertices}"
         )
     search = _TreeSearch(g, time.monotonic() + budget.time_limit)
-    universe = ((1 << g.n) - 1) & ~(1 << v)
+    universe = ((1 << g.n) - 1) ^ (1 << v)
     search.grow(1 << v, 1, 0, search.masks[v], universe)
     return search.best_size, frozenset(_iter_bits(search.best_set))
 

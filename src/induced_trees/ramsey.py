@@ -70,7 +70,7 @@ def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> tuple[str, i
             allowed, a = inside, a - 1
         else:
             independent |= low
-            allowed, b = allowed & ~nv & ~low, b - 1
+            allowed, b = allowed ^ inside ^ low, b - 1
             assert allowed.bit_count() >= binomial_threshold(a, b)
 
 

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from induced_trees import (
     FinderPreconditionError,
@@ -18,6 +20,7 @@ from induced_trees import (
     finders,
     max_induced_tree_exact,
     reroute_through_vertex,
+    shortest_path,
     theorem_bound,
     verify_certificate,
 )
@@ -209,6 +212,59 @@ class TestReroute:
                 assert cert.size >= 1 + size / 2 - 1e-9
 
 
+def reference_reroute(g, t, v):
+    """The rerouting rule of reroute_through_vertex's docstring, on sets:
+    the shortest path from v into t that shortest_path returns, t split by
+    nearest attachment point (ties to the smallest index), the subtree
+    quotient 2-coloured from subtree 0, and the heavier class (ties to
+    subtree 0's) joined to the path without its end."""
+    nbrs = [set(g.neighbors(x)) for x in range(g.n)]
+    path = shortest_path(g, v, t)
+    attach = sorted(nbrs[path[-2]] & t)
+    dists = []
+    for a in attach:
+        dist, todo = {a: 0}, [a]
+        for x in todo:
+            for y in sorted(nbrs[x] & t):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    todo.append(y)
+        dists.append(dist)
+    label = {x: min(range(len(attach)), key=lambda i: (dists[i][x], i)) for x in t}
+    quotient = [set() for _ in attach]
+    for x in t:
+        for y in nbrs[x] & t:
+            if label[x] != label[y]:
+                quotient[label[x]].add(label[y])
+    colour, todo = {0: 0}, [0]
+    for i in todo:
+        for j in quotient[i]:
+            assert colour.setdefault(j, 1 - colour[i]) != colour[i]
+            if j not in todo:
+                todo.append(j)
+    sides = [{x for x in t if colour[label[x]] == c} for c in (0, 1)]
+    pick = sides[0] if len(sides[0]) >= len(sides[1]) else sides[1]
+    return set(path[:-1]) | pick
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 80), st.floats(0.5, 6.0), st.integers(0, 2 ** 32 - 1), st.data())
+def test_reroute_equals_the_set_reference(n, degree, seed, data):
+    # Finder certificates on graphs up to 80 vertices, rerouted to every
+    # vertex, against the rule written out on sets.
+    g = random_triangle_free(n, min(1.0, degree / n), seed)
+    base = find_tree_triangle_free(g, data.draw(st.integers(0, n - 1)))
+    for v in range(n):
+        cert = reroute_through_vertex(g, base, v)
+        if v in base.vertices:
+            assert cert.vertices == base.vertices
+            continue
+        assert cert.vertices == reference_reroute(g, set(base.vertices), v)
+        assert (cert.root, cert.strategy) == (v, "reroute")
+        assert cert.claimed_bound == 1 + base.size / 2
+        assert verify_certificate(g, cert)
+
+
 class TestVerifyCertificate:
     def test_finder_output_verifies(self):
         g = ms_layered(3)
@@ -234,6 +290,19 @@ class TestVerifyCertificate:
         cert = TreeCertificate(frozenset({2, 0, 5}), 2, 2.5, "star")
         again = TreeCertificate.from_json(cert.to_json())
         assert again == cert
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(
+            TreeCertificate,
+            st.frozensets(st.integers(0, 2 ** 70), max_size=30),
+            st.integers(0, 2 ** 70),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(max_size=20),
+        )
+    )
+    def test_json_round_trip_property(self, cert):
+        assert TreeCertificate.from_json(cert.to_json()) == cert
 
 
 class TestTheoremBoundAndDispatch:

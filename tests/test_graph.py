@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from induced_trees import (
     EdgeListParseError,
@@ -240,9 +242,22 @@ class TestShortestPath:
             shortest_path(path_graph(2), 0, set())
 
 
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=120)) if pairs else []
+    return Graph(n, edges)
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = ms_layered(3)
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    def test_round_trip_property(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
 
     def test_header_then_edges(self):

@@ -1,11 +1,17 @@
 """The bitmask kernel in graph.py, checked against set-based references on
-masks whose bits reach about 4096, where ints span many machine words."""
+masks whose bits reach about 4096, where ints span many machine words, and
+the kernel rule of graph.py's docstring, checked on the package source."""
 
+import ast
+from itertools import combinations
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from induced_trees import Graph, find_triangle, is_induced_tree
-from induced_trees.graph import _component_masks, _iter_bits, _neighbour_union
+from induced_trees.graph import _component_masks, _first_clique, _iter_bits, _neighbour_union
 
 WIDTH = 4096
 
@@ -124,3 +130,69 @@ def test_is_induced_tree_equals_a_set_check(case, data):
     edges = sum(len(nbrs[v] & s) for v in s) // 2
     expected = edges == len(s) - 1 and len(set_components(nbrs, s)) == 1
     assert is_induced_tree(g, s) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.data())
+def test_first_clique_equals_the_first_combination(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    size = data.draw(st.integers(0, 5))
+    start = data.draw(st.integers(0, n))
+    cliques = (
+        c for c in combinations(range(start, n), size)
+        if all(pair in edges for pair in combinations(c, 2))
+    )
+    assert _first_clique(Graph(n, edges).adjacency_masks, size, start) == next(cliques, None)
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "induced_trees").glob("*.py"))
+# The loops that keep `m & -m`, measured faster there than graph._low_bit.
+NEGATION_KEPT = {"_first_clique", "_extract"}
+
+
+def kernel_rule_breaks(source):
+    """(line, what) for each `~` and each `& -x` outside NEGATION_KEPT."""
+    breaks = []
+
+    def negated(node):
+        return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+
+    def visit(node, functions):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = functions | {node.name}
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+            breaks.append((node.lineno, "~"))
+        if isinstance(node, ast.BinOp):
+            sides = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            sides = (node.value,)
+        else:
+            sides = ()
+        if sides and isinstance(node.op, ast.BitAnd) and any(map(negated, sides)):
+            if not functions & NEGATION_KEPT:
+                breaks.append((node.lineno, "& -x"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(ast.parse(source), frozenset())
+    return breaks
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_keeps_the_kernel_rule(path):
+    assert kernel_rule_breaks(path.read_text(encoding="utf-8")) == []
+
+
+def test_kernel_rule_check_sees_each_form():
+    source = (
+        "def f(a, b):\n"
+        "    a &= ~b\n"
+        "    a &= -b\n"
+        "    return (a & -a) | (-b & a)\n"
+        "def _first_clique(c):\n"
+        "    def extend(c):\n"
+        "        return c & -c\n"
+        "    return ~c\n"
+    )
+    assert kernel_rule_breaks(source) == [(2, "~"), (3, "& -x"), (4, "& -x"), (4, "& -x"), (8, "~")]
