@@ -268,7 +268,9 @@ def solve_exact(
     chosen_cnt = [0] * nb
     undecided = [m.bit_count() for m in masks]
 
-    state = {"bound": math.fsum(wpow), "best_val": -1.0, "best_set": None, "stop": False}
+    bound = math.fsum(wpow)
+    best_val = -1.0
+    best_set: Optional[frozenset[int]] = None
     included: list[int] = []
 
     def counted(i: int) -> bool:
@@ -277,42 +279,46 @@ def solve_exact(
 
     def decide(a_id: int, include: bool, step: int = 1) -> None:
         """Decide a_id in or out; step=-1 undoes that decision."""
+        nonlocal bound
         for i in items_of[a_id]:
             was = counted(i)
             undecided[i] -= step
             if include:
                 chosen_cnt[i] += step
             if counted(i) != was:
-                state["bound"] += wpow[i] if not was else -wpow[i]
+                bound += wpow[i] if not was else -wpow[i]
 
-    def search(k: int) -> None:
-        if state["stop"] or state["bound"] <= state["best_val"]:
-            return
-        if k == a_count:
+    # Depth-first over order[k], first in, then out, on an explicit stack:
+    # taken[k] is True while order[k]'s in-branch runs, False in its out-branch.
+    taken: list[bool] = []
+    while True:
+        k = len(taken)
+        if bound > best_val:
+            if k < a_count:
+                included.append(order[k])
+                decide(order[k], True)
+                taken.append(True)
+                continue
             if included:
                 value = math.fsum(wpow[i] for i in range(nb) if chosen_cnt[i] == 1)
-                if value > state["best_val"]:
-                    state["best_val"] = value
-                    state["best_set"] = frozenset(included)
+                if value > best_val:
+                    best_val = value
+                    best_set = frozenset(included)
                     if target is not None and value >= target:
-                        state["stop"] = True
-            return
-        a_id = order[k]
-        included.append(a_id)
-        decide(a_id, True)
-        search(k + 1)
-        decide(a_id, True, -1)
+                        break
+        # Back up to the deepest in-branch and switch it to out.
+        while taken and not taken[-1]:
+            taken.pop()
+            decide(order[len(taken)], False, -1)
+        if not taken:
+            break
+        k = len(taken) - 1
+        decide(order[k], True, -1)
         included.pop()
-        if state["stop"]:
-            return
-        decide(a_id, False)
-        search(k + 1)
-        decide(a_id, False, -1)
-
-    search(0)
-    best_set = state["best_set"]
+        decide(order[k], False)
+        taken[-1] = False
     assert best_set is not None
-    return AdmissibleSelection(best_set, closure_b(inst, best_set), state["best_val"], alpha)
+    return AdmissibleSelection(best_set, closure_b(inst, best_set), best_val, alpha)
 
 
 def _survivors(inst: WeightedBipartiteInstance) -> list[int]:

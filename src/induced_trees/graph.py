@@ -85,6 +85,9 @@ def _reach(masks: Sequence[int], seed: int, region: int) -> int:
     return visited
 
 
+_UNSET = object()  # a cached answer not computed yet, where None is an answer
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
@@ -95,7 +98,9 @@ class Graph:
     cached lazily, which is safe because instances never change.
     """
 
-    __slots__ = ("n", "edge_count", "adjacency_masks", "_cache")
+    # One slot per cached answer: a misspelt name raises instead of
+    # silently missing the cache.
+    __slots__ = ("n", "edge_count", "adjacency_masks", "_connected", "_triangle", "_cliques")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -115,7 +120,9 @@ class Graph:
         self.n = n
         self.edge_count = count
         self.adjacency_masks: tuple[int, ...] = tuple(masks)
-        self._cache: dict = {}
+        self._connected: Optional[bool] = None
+        self._triangle: object = _UNSET
+        self._cliques: dict[int, Optional[frozenset[int]]] = {}
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -155,13 +162,10 @@ def is_connected(g: Graph) -> bool:
     """True iff g has exactly one connected component (n >= 1 required)."""
     if g.n == 0:
         raise ValueError("empty graph: connectivity is undefined for n = 0")
-    cached = g._cache.get("connected")
-    if cached is not None:
-        return cached
-    full = (1 << g.n) - 1
-    result = _reach(g.adjacency_masks, 1, full) == full
-    g._cache["connected"] = result
-    return result
+    if g._connected is None:
+        full = (1 << g.n) - 1
+        g._connected = _reach(g.adjacency_masks, 1, full) == full
+    return g._connected
 
 
 def _component_masks(
@@ -248,8 +252,8 @@ def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
 
     One union test per u tells whether any such edge starts at u, so only
     the first u that has one walks its edges."""
-    if "triangle" in g._cache:
-        return g._cache["triangle"]
+    if g._triangle is not _UNSET:
+        return g._triangle
     masks = g.adjacency_masks
     found = None
     for u, mask in enumerate(masks):
@@ -258,7 +262,7 @@ def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
             v = next(v for v in _iter_bits(above) if masks[v] & mask)
             found = tuple(sorted((u, v, _low_bit(masks[v] & mask))))
             break
-    g._cache["triangle"] = found
+    g._triangle = found
     return found
 
 
@@ -297,13 +301,10 @@ def find_clique(g: Graph, r: int) -> Optional[frozenset[int]]:
     """A clique of size r (the lexicographically smallest one), or None."""
     if r < 1:
         raise ValueError("clique size must be >= 1")
-    key = ("clique", r)
-    if key in g._cache:
-        return g._cache[key]
-    got = _first_clique(g.adjacency_masks, r)
-    result = frozenset(got) if got is not None else None
-    g._cache[key] = result
-    return result
+    if r not in g._cliques:
+        got = _first_clique(g.adjacency_masks, r)
+        g._cliques[r] = frozenset(got) if got is not None else None
+    return g._cliques[r]
 
 
 def has_clique(g: Graph, r: int) -> bool:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -197,6 +198,12 @@ class TestSolveExact:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             solve_exact(matching_instance(2), alpha=1.5)
+
+    def test_target_search_deeper_than_the_recursion_limit(self):
+        # One item per A-id: the first leaf takes every id, one level per id.
+        k = sys.getrecursionlimit() + 100
+        sel = solve_exact(matching_instance(k), alpha=0.5, target=math.sqrt(k))
+        assert sel.a_chosen == frozenset(range(k)) and sel.value == k
 
     @settings(max_examples=150, deadline=None)
     @given(instance_inputs())

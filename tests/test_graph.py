@@ -19,6 +19,7 @@ from induced_trees import (
     parse_edge_list,
     shortest_path,
 )
+from induced_trees import graph
 from induced_trees.generators import line_graph_balanced_tree, ms_layered
 from induced_trees.graph import edge_list_header
 
@@ -186,6 +187,25 @@ class TestHasClique:
         for _ in range(80):
             g = random_graph(rng.randint(1, 12), rng.random(), rng)
             assert has_clique(g, 3) == (not is_triangle_free(g))
+
+
+class TestCachedAnswers:
+    def test_each_answer_is_computed_once(self, monkeypatch):
+        # None answers (no triangle, no clique) are cached too.
+        g = path_graph(5)
+        first = (is_connected(g), find_triangle(g), find_clique(g, 3), find_clique(g, 2))
+        for name in ("_reach", "_neighbour_union", "_first_clique"):
+            monkeypatch.setattr(graph, name, _never_called)
+        assert (is_connected(g), find_triangle(g), find_clique(g, 3), find_clique(g, 2)) == first
+        assert first == (True, None, None, frozenset({0, 1}))
+
+    def test_a_misspelt_cache_slot_raises(self):
+        with pytest.raises(AttributeError):
+            path_graph(3)._conected = True
+
+
+def _never_called(*args):
+    raise AssertionError("a cached answer was computed again")
 
 
 class TestIsInducedTree:

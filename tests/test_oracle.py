@@ -1,8 +1,12 @@
+import json
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from induced_trees import (
     BudgetExceededError,
@@ -12,8 +16,10 @@ from induced_trees import (
     is_induced_tree,
     max_induced_tree_exact,
     max_tree_through_vertex_exact,
+    save_edge_list,
     solve_exact,
 )
+from induced_trees.cli import main
 from induced_trees.generators import (
     dyadic_bipartite,
     ms_layered,
@@ -45,6 +51,55 @@ def brute_force_max_tree(g, containing=None):
             if is_induced_tree(g, s):
                 best = max(best, k)
     return best
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def recursive_tree_search(g, v=None):
+    """The enumeration the oracles ran before dead-vertex pruning, one call
+    per tree vertex: grow by a vertex with exactly one neighbour in the set,
+    later siblings forbidden.  The first maximum in this order wins."""
+    masks = g.adjacency_masks
+    best = [0, 0]
+
+    def grow(s_mask, size, forbidden, nbr_mask, universe):
+        if size > best[0]:
+            best[:] = [size, s_mask]
+        if best[0] == g.n:
+            return
+        out = forbidden | s_mask
+        if size + (universe & ~out).bit_count() <= best[0]:
+            return
+        ext, fb = nbr_mask & ~out, forbidden
+        for u in range(g.n):
+            if ext >> u & 1:
+                if (masks[u] & s_mask).bit_count() == 1:
+                    grow(s_mask | 1 << u, size + 1, fb, nbr_mask | (masks[u] & universe), universe)
+                fb |= 1 << u
+
+    full = (1 << g.n) - 1
+    if v is None:
+        for seed in range(g.n):
+            universe = full ^ ((1 << (seed + 1)) - 1)
+            grow(1 << seed, 1, 0, masks[seed] & universe, universe)
+            if best[0] == g.n:
+                break
+    else:
+        grow(1 << v, 1, 0, masks[v], full ^ (1 << v))
+    return best[0], frozenset(u for u in range(g.n) if best[1] >> u & 1)
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 1..14 vertices, each pair an edge with probability
+    density/10."""
+    n = draw(st.integers(1, 14))
+    density = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    rolls = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, roll in zip(pairs, rolls) if roll < density])
 
 
 def random_instance(rng, max_a=8, max_b=12):
@@ -95,6 +150,33 @@ class TestMaxInducedTree:
             assert size == brute_force_max_tree(g)
             assert is_induced_tree(g, witness) and len(witness) == size
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_same_witness_as_the_recursive_enumeration(self, g):
+        assert max_induced_tree_exact(g) == recursive_tree_search(g)
+        for v in range(g.n):
+            assert max_tree_through_vertex_exact(g, v) == recursive_tree_search(g, v)
+
+
+class TestPathsDeeperThanTheRecursionLimit:
+    @pytest.mark.parametrize("root", [None, "middle"])
+    def test_library(self, root):
+        n = sys.getrecursionlimit() + 100
+        g, budget = path_graph(n), OracleBudget(max_vertices=n)
+        if root is None:
+            got = max_induced_tree_exact(g, budget)
+        else:
+            got = max_tree_through_vertex_exact(g, n // 2, budget)
+        assert got == (n, frozenset(range(n)))
+
+    @pytest.mark.parametrize("root", [[], ["--root", "0"]])
+    def test_cli(self, root, tmp_path, capsys):
+        n = sys.getrecursionlimit() + 100
+        path = tmp_path / "path.txt"
+        save_edge_list(path_graph(n), path)
+        code = main(["oracle", str(path), "--max-n", str(n), *root])
+        assert code == 0 and json.loads(capsys.readouterr().out)["max_tree"] == n
+
 
 class TestMaxTreeThroughVertex:
     def test_star_center_takes_everything(self):
@@ -139,6 +221,14 @@ class TestAdmissibleNaive:
         inst = WeightedBipartiteInstance(25, [(1.0, [i]) for i in range(25)])
         with pytest.raises(BudgetExceededError):
             admissible_naive(inst)
+
+    def test_time_budget_is_hard(self):
+        from induced_trees import WeightedBipartiteInstance
+
+        # 7 subsets, fewer than one deadline period.
+        inst = WeightedBipartiteInstance(3, [(1.0, [0]), (2.0, [1, 2])])
+        with pytest.raises(BudgetExceededError, match="time limit"):
+            admissible_naive(inst, budget=OracleBudget(time_limit=1e-9))
 
     def test_matches_solver_on_dyadic(self):
         inst = dyadic_bipartite(2)
