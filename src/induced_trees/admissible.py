@@ -106,10 +106,11 @@ class WeightedBipartiteInstance:
     def items_of_a(self) -> tuple[tuple[int, ...], ...]:
         """For each A-id, the ascending indices of the items that see it."""
         if self._items_of_a is None:
-            self._items_of_a = tuple(
-                tuple(i for i, m in enumerate(self.nbr_masks) if m >> a & 1)
-                for a in range(self.a_count)
-            )
+            items: list[list[int]] = [[] for _ in range(self.a_count)]
+            for i, m in enumerate(self.nbr_masks):
+                for a in _iter_bits(m):
+                    items[a].append(i)
+            self._items_of_a = tuple(map(tuple, items))
         return self._items_of_a
 
     @property
@@ -260,7 +261,7 @@ def solve_exact(
     nb = inst.b_count
     masks = inst.nbr_masks
     wpow = [w ** alpha for w in inst.weights]
-    items_of = [[i for i, m in enumerate(masks) if m >> a & 1] for a in range(a_count)]
+    items_of = inst.items_of_a
     order = sorted(
         range(a_count),
         key=lambda a: (-math.fsum(wpow[i] for i in items_of[a]), a),
@@ -414,11 +415,9 @@ def select_weighted(inst: WeightedBipartiteInstance) -> AdmissibleSelection:
     value as target.  The theory guarantees the target is attainable, so a
     fallback miss is trapped as an implementation bug.
     """
-    if inst.b_count == 0:
-        return AdmissibleSelection(frozenset({0}), frozenset(), 0.0, 0.5)
     total = inst.total_weight()
     target = math.sqrt(total)
-    if total == 0.0:
+    if total == 0.0:  # also an empty B side: A-id 0 alone, keeping no item
         return _closed(inst, frozenset({0}))
 
     roots = [math.sqrt(w) for w in inst.weights]

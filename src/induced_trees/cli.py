@@ -148,6 +148,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_find(args) -> int:
+    if args.r < 3:
+        raise ValueError("--r must be >= 3")
     text = args.graph.read_text(encoding="utf-8")
     # Check the header before the n masks, Θ(n²) bits, are allocated.
     n, m = edge_list_header(text)
@@ -157,8 +159,6 @@ def _cmd_find(args) -> int:
             f"at least {n - 1} edges"
         )
     g = parse_edge_list(text)
-    if args.r < 3:
-        raise ValueError("--r must be >= 3")
     started = time.monotonic()
     cert = finders.find_tree(g, args.root, args.r)
     required = finders.theorem_bound(g.n, args.r)

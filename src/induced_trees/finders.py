@@ -29,9 +29,8 @@ which leave the last piece unwalked, and tests each attachment vertex's
 mask against each piece, so a step reads masks only for the pieces it
 cuts off, not for the region: on chains the mask reads are linear, though
 every step still builds new n-bit region ints, so time on P_n grows about
-3x per doubling of n (P_20000 about 0.4 s, P_40000 about 1.5 s with
-Python 3.11 on a 2-core x86 host).  Region differences are written
-`a ^ b` with b inside a, and layers expand through
+3x per doubling of n (CHANGES.md holds the timings).  Region differences
+are written `a ^ b` with b inside a, and layers expand through
 graph._neighbour_union, so no step builds a negative int.
 Regions, the neighbourhoods _kr hands to Ramsey extraction and the
 subtrees reroute_through_vertex colours are vertex bitmasks over the

@@ -118,10 +118,25 @@ def alpha_counterexample(t: int) -> WeightedBipartiteInstance:
     return WeightedBipartiteInstance(t, items)
 
 
-def _random_clique_free(n: int, r: int, p: float, seed: int) -> Graph:
-    """Sample edges, delete one edge per r-clique (smallest-id tuple first,
-    lexicographically largest edge removed), then bridge components, all on
-    one list of neighbour masks."""
+def random_triangle_free(n: int, p: float, seed: int) -> Graph:
+    """Seeded connected triangle-free graph: edge sampling at density p,
+    triangle repair, then bridges between components."""
+    return random_kr_free(n, 3, p, seed)
+
+
+def random_kr_free(n: int, r: int, p: float, seed: int) -> Graph:
+    """Seeded connected graph with no clique of size r (random_triangle_free
+    is the r=3 case): sample edges, delete one edge per r-clique
+    (smallest-id tuple first, lexicographically largest edge removed), then
+    bridge components, all on one list of neighbour masks."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError("p must be in [0, 1]")
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    if r == 2 and n >= 2:
+        raise ValueError("r=2 forbids all edges, so no connected graph on n >= 2 exists")
     rng = random.Random(seed)
     masks = [0] * n
     for u in range(n):
@@ -148,23 +163,3 @@ def _random_clique_free(n: int, r: int, p: float, seed: int) -> Graph:
         masks[0] |= 1 << y
         masks[y] |= 1
     return Graph(n, _iter_edges(masks))
-
-
-def random_triangle_free(n: int, p: float, seed: int) -> Graph:
-    """Seeded connected triangle-free graph: edge sampling at density p,
-    triangle repair, then bridges between components."""
-    return random_kr_free(n, 3, p, seed)
-
-
-def random_kr_free(n: int, r: int, p: float, seed: int) -> Graph:
-    """Seeded connected graph with no clique of size r (same scheme as
-    random_triangle_free, which is the r=3 case)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must be in [0, 1]")
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if r == 2 and n >= 2:
-        raise ValueError("r=2 forbids all edges, so no connected graph on n >= 2 exists")
-    return _random_clique_free(n, r, p, seed)

@@ -11,14 +11,11 @@ kernel rule for loops over them: scan down from the top bit
 (`x = m.bit_length() - 1; m ^= 1 << x`), write a set difference as
 `a ^ b` where b ⊆ a (`a ^ (a & b)` otherwise), and build no negative
 int: no `~b`, and no `m & -m` outside two loops.  Python computes either
-through a two's complement copy, which on a 3000-bit mask costs about 4x
-a plain `a & b` (CPython 3.11).  The two loops, `_first_clique` and
+through a two's complement copy of the whole mask, which costs several
+times a plain `a & b` on a wide mask.  The two loops, `_first_clique` and
 `ramsey._extract`, keep `m & -m` for their lowest bit because there the
-call to `_low_bit` costs more than the copy (cold `_first_clique`, median
-of 15, `m & -m` vs `_low_bit`: 6.41 vs 6.82 ms on
-`line_graph_balanced_tree(4, 10)`, 4.42 vs 4.73 ms on
-`random_kr_free(2000, 4, 3/2000, 4)`, 3.83 vs 4.07 ms at r = 5; CPython
-3.11 on a 2-core x86 host).  tests/test_mask_kernel.py checks the rule.
+call to `_low_bit` measured slower than the copy (CHANGES.md holds the
+timings).  tests/test_mask_kernel.py checks the rule.
 """
 
 from __future__ import annotations

@@ -92,18 +92,27 @@ class _TreeSearch:
                 ))
 
 
-def max_induced_tree_exact(
-    g: Graph, budget: OracleBudget | None = None
-) -> tuple[int, frozenset[int]]:
-    """Exact maximum induced tree size with a witness set."""
+def _search(g: Graph, budget: OracleBudget | None, v: int = 0) -> _TreeSearch:
+    """The search both maxima run, after the checks they share, in this
+    order: empty graph, root v in range (the default 0 is in any nonempty
+    graph), size within `budget`."""
     budget = budget or OracleBudget()
     if g.n == 0:
         raise ValueError("empty graph has no induced tree")
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
     if g.n > budget.max_vertices:
         raise BudgetExceededError(
             f"graph has {g.n} vertices, budget allows {budget.max_vertices}"
         )
-    search = _TreeSearch(g, time.monotonic() + budget.time_limit)
+    return _TreeSearch(g, time.monotonic() + budget.time_limit)
+
+
+def max_induced_tree_exact(
+    g: Graph, budget: OracleBudget | None = None
+) -> tuple[int, frozenset[int]]:
+    """Exact maximum induced tree size with a witness set."""
+    search = _search(g, budget)
     full = (1 << g.n) - 1
     for seed in range(g.n):
         universe = full ^ ((1 << (seed + 1)) - 1)
@@ -117,16 +126,7 @@ def max_tree_through_vertex_exact(
     g: Graph, v: int, budget: OracleBudget | None = None
 ) -> tuple[int, frozenset[int]]:
     """Exact maximum induced tree size over sets containing v."""
-    budget = budget or OracleBudget()
-    if g.n == 0:
-        raise ValueError("empty graph has no induced tree")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if g.n > budget.max_vertices:
-        raise BudgetExceededError(
-            f"graph has {g.n} vertices, budget allows {budget.max_vertices}"
-        )
-    search = _TreeSearch(g, time.monotonic() + budget.time_limit)
+    search = _search(g, budget, v)
     universe = ((1 << g.n) - 1) ^ (1 << v)
     search.grow(v, universe)
     return search.best_size, frozenset(_iter_bits(search.best_set))

@@ -116,6 +116,10 @@ class TestInstanceValidation:
         assert inst.items_of_a == tuple(
             tuple(i for i, (_, n) in enumerate(items) if x in n) for x in range(a)
         )
+        for x in range(a):
+            assert inst.items_of_a[x] == tuple(
+                i for i, m in enumerate(inst.nbr_masks) if m >> x & 1
+            )
 
     @pytest.mark.parametrize("a_count", ["true", "false"])
     def test_boolean_a_count_rejected(self, a_count):

@@ -102,6 +102,17 @@ class TestFind:
         assert code == 2 and out == ""
         assert "header '6 2'" in err
 
+    def test_r_below_three_is_rejected_before_the_file_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "p3.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        monkeypatch.setattr(cli, "parse_edge_list", _never_parse)
+        for graph in (path, tmp_path / "missing.txt"):
+            code, out, err = run(capsys, "find", str(graph), "--root", "0", "--r", "2")
+            assert code == 2 and out == ""
+            assert "--r must be >= 3" in err
+
 
 def _never_parse(text):
     raise AssertionError("the header check should have rejected the file")

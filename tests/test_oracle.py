@@ -158,6 +158,31 @@ class TestMaxInducedTree:
             assert max_tree_through_vertex_exact(g, v) == recursive_tree_search(g, v)
 
 
+class TestEntryChecks:
+    """Both tree maxima check the empty graph, then the root, then the budget."""
+
+    MAXIMA = {
+        "global": lambda g, budget: max_induced_tree_exact(g, budget),
+        "through": lambda g, budget: max_tree_through_vertex_exact(g, 0, budget),
+    }
+
+    @pytest.mark.parametrize("maximum", MAXIMA.values(), ids=MAXIMA.keys())
+    def test_empty_graph(self, maximum):
+        with pytest.raises(ValueError, match="empty graph"):
+            maximum(Graph(0, []), OracleBudget(max_vertices=1))
+
+    @pytest.mark.parametrize("v", [-1, 25, 10**6])
+    def test_root_out_of_range_even_over_budget(self, v):
+        for budget in (OracleBudget(max_vertices=25), OracleBudget(max_vertices=20)):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                max_tree_through_vertex_exact(path_graph(25), v, budget)
+
+    @pytest.mark.parametrize("maximum", MAXIMA.values(), ids=MAXIMA.keys())
+    def test_over_budget(self, maximum):
+        with pytest.raises(BudgetExceededError, match="graph has 25 vertices, budget allows 20"):
+            maximum(path_graph(25), OracleBudget(max_vertices=20))
+
+
 class TestPathsDeeperThanTheRecursionLimit:
     @pytest.mark.parametrize("root", [None, "middle"])
     def test_library(self, root):
