@@ -4,6 +4,7 @@ across refactors, so any change to a finder's choices, a certificate's
 JSON form or the edge-list format moves this digest."""
 
 import hashlib
+import json
 from functools import cache
 
 from induced_trees import (
@@ -14,7 +15,12 @@ from induced_trees import (
     format_edge_list,
     reroute_through_vertex,
 )
-from induced_trees.bench import connected_ensemble, kr_free_ensemble, triangle_free_ensemble
+from induced_trees.bench import (
+    connected_ensemble,
+    kr_free_ensemble,
+    run_suite,
+    triangle_free_ensemble,
+)
 from induced_trees.generators import (
     line_graph_balanced_tree,
     ms_layered,
@@ -124,3 +130,21 @@ def _large_records():
 
 def test_large_input_certificates_match_golden_digest():
     assert _digest(_large_records()) == LARGE_SHA256
+
+
+# Every bench suite's rows at seed 1, timings dropped: the bounds each row
+# requires and achieves and its verdict.  A refactor of the row builders
+# must leave them byte-identical.
+BENCH_ROWS_SHA256 = "6c1f00f3ade05ad80d0efa8484bb9c8bc85f803fe13e6a6dd9f0c7e26474f2bd"
+
+_BENCH_COUNTS = {"triangle-free": 20, "kr-free": 20, "admissible": 200, "claim": 50}
+
+
+def _bench_records():
+    for suite, count in _BENCH_COUNTS.items():
+        for row in run_suite(suite, 1, count):
+            yield json.dumps({k: v for k, v in row.items() if k != "wall_time_ms"}, sort_keys=True)
+
+
+def test_bench_rows_match_golden_digest():
+    assert _digest(_bench_records()) == BENCH_ROWS_SHA256
