@@ -2,8 +2,12 @@
 
 Each suite emits one row per (instance, algorithm) with the bound the
 theory requires, the bound achieved, and an in-process re-verification
-verdict.  Rows are deterministic given the seed except for the wall-time
-column.  The acceptance tests drive the same ensemble helpers, so the CLI
+verdict, all from one timed check (_row).  Finder and claim rows judge
+every certificate by the same verdict as `find` (finders._report_failure),
+which also requires the requested root; admissible rows re-check every
+selection with AdmissibleSelection.check before its value counts.  Rows
+are deterministic given the seed except for the wall-time column.  The
+acceptance tests drive the same ensemble helpers, so the CLI
 tables and the test suite exercise identical distributions.
 """
 
@@ -13,10 +17,14 @@ import logging
 import math
 import random
 import time
+from functools import partial
 from typing import Iterator, Optional
 
 from . import finders, generators, oracle
 from .admissible import (
+    DEFAULT_EXHAUSTION_LIMIT,
+    LEMMA_SLACK,
+    AdmissibleSelection,
     WeightedBipartiteInstance,
     _ceil_sqrt,
     select_uniform,
@@ -26,8 +34,6 @@ from .admissible import (
 from .graph import Graph
 
 log = logging.getLogger(__name__)
-
-SUITES = ("triangle-free", "kr-free", "admissible", "claim")
 
 ROW_FIELDS = (
     "suite",
@@ -66,12 +72,12 @@ def kr_free_ensemble(seed: int, r: int, count: int = 200) -> Iterator[tuple[str,
         )
 
 
-def connected_ensemble(seed: int, count: int = 200, n_max: int = 14) -> Iterator[tuple[str, Graph]]:
+def connected_ensemble(seed: int, count: int = 200) -> Iterator[tuple[str, Graph]]:
     """Seeded connected graphs with no clique constraint (clique threshold
-    above n disables deletion)."""
+    above n disables deletion), n in [2, 14]."""
     rng = random.Random(seed)
     for idx in range(count):
-        n = rng.randint(2, n_max)
+        n = rng.randint(2, 14)
         p = rng.uniform(0.1, 0.9)
         yield f"random-connected[{idx}](n={n})", generators.random_kr_free(
             n, n + 1, p, rng.randrange(2 ** 32)
@@ -96,8 +102,11 @@ def _sample_roots(n: int) -> list[int]:
     return sorted({0, n // 2, n - 1})
 
 
-def _row(suite, instance, algorithm, n, r, required, achieved, verified, started,
-         relation: str = ">=") -> dict:
+def _row(suite, instance, algorithm, n, r, check, *args, relation: str = ">=") -> dict:
+    """Time check(*args), which returns (required, achieved, verified), into
+    one row."""
+    started = time.monotonic()
+    required, achieved, verified = check(*args)
     return {
         "suite": suite,
         "instance": instance,
@@ -112,22 +121,26 @@ def _row(suite, instance, algorithm, n, r, required, achieved, verified, started
     }
 
 
+def _worst_over_roots(g: Graph, roots, required: float, certify) -> tuple:
+    """The worst size of certify(v) over the roots, verified when every
+    certificate passes the report verdict for its root and `required`."""
+    certs = [(v, certify(v)) for v in roots]
+    verified = all(finders._report_failure(g, cert, v, required) is None for v, cert in certs)
+    return required, min(cert.size for _, cert in certs), verified
+
+
 def _finder_row(suite, name, g, r, roots=None) -> dict:
-    """One row aggregating a finder over its roots: achieved = worst size,
-    verified = every certificate valid and at least the required bound."""
-    started = time.monotonic()
-    required = finders.theorem_bound(g.n, r)
+    """One row for find_tree over its roots (by default three spread ones)."""
     roots = roots if roots is not None else _sample_roots(g.n)
-    worst = None
-    ok = True
-    for v in roots:
-        cert = finders.find_tree(g, v, r)
-        if not finders.verify_certificate(g, cert):
-            ok = False
-        if cert.size < required - finders.BOUND_EPS:
-            ok = False
-        worst = cert.size if worst is None else min(worst, cert.size)
-    return _row(suite, name, finders.finder_label(r), g.n, r, required, worst, ok, started)
+    return _row(suite, name, finders.finder_label(r), g.n, r, _worst_over_roots,
+                g, roots, finders.theorem_bound(g.n, r), partial(finders.find_tree, g, r=r))
+
+
+def _oracle_below(g: Graph, bound: int) -> tuple:
+    size, _ = oracle.max_induced_tree_exact(
+        g, oracle.OracleBudget(max_vertices=25, time_limit=120.0)
+    )
+    return float(bound), size, size <= bound
 
 
 def suite_triangle_free(seed: int, count: Optional[int] = None) -> list[dict]:
@@ -141,23 +154,9 @@ def suite_triangle_free(seed: int, count: Optional[int] = None) -> list[dict]:
         )
     for m in range(2, 6):
         g = generators.ms_layered(m)
-        started = time.monotonic()
-        size, _ = oracle.max_induced_tree_exact(
-            g, oracle.OracleBudget(max_vertices=25, time_limit=120.0)
-        )
         rows.append(
-            _row(
-                "triangle-free",
-                f"ms-layered(m={m})",
-                "oracle-max-tree<=2m-1",
-                g.n,
-                3,
-                float(2 * m - 1),
-                size,
-                size <= 2 * m - 1,
-                started,
-                relation="<=",
-            )
+            _row("triangle-free", f"ms-layered(m={m})", "oracle-max-tree<=2m-1", g.n, 3,
+                 _oracle_below, g, 2 * m - 1, relation="<=")
         )
     n_graphs = count if count is not None else 500
     for name, g in triangle_free_ensemble(seed, n_graphs):
@@ -179,85 +178,92 @@ def suite_kr_free(seed: int, count: Optional[int] = None) -> list[dict]:
     return rows
 
 
+def _admissible(inst: WeightedBipartiteInstance, sel: AdmissibleSelection) -> bool:
+    try:
+        sel.check(inst)
+    except ValueError:
+        return False
+    return True
+
+
+def _weighted_check(inst: WeightedBipartiteInstance, naive_budget) -> tuple:
+    """sqrt(total weight) against the exact optimum; verified when the exact
+    and weighted selections reach it, the naive oracle (given a budget)
+    matches the exact value, the uniform selection keeps ceil(sqrt(|B|))
+    items, and every selection passes its check."""
+    target = math.sqrt(inst.total_weight())
+    exact = solve_exact(inst, alpha=0.5)
+    selections = [exact, select_weighted(inst)]
+    ok = all(sel.value >= target - LEMMA_SLACK for sel in selections)
+    if naive_budget is not None:
+        naive = oracle.admissible_naive(inst, alpha=0.5, budget=naive_budget)
+        selections.append(naive)
+        ok = ok and math.isclose(naive.value, exact.value, rel_tol=1e-12, abs_tol=1e-12)
+    uniform = select_uniform(inst)
+    selections.append(uniform)
+    ok = ok and len(uniform.b_chosen) >= _ceil_sqrt(inst.b_count)
+    return target, exact.value, ok and all(_admissible(inst, sel) for sel in selections)
+
+
+def _exact_below(inst: WeightedBipartiteInstance, alpha: float, bound: float, limit: int) -> tuple:
+    best = solve_exact(inst, alpha=alpha, limit=limit)
+    return bound, best.value, _admissible(inst, best) and best.value < bound
+
+
 def suite_admissible(seed: int, count: Optional[int] = None) -> list[dict]:
     rows = []
     n_weighted = count if count is not None else 1000
     naive_every = max(1, n_weighted // 200)
     budget = oracle.OracleBudget(max_a_side=12)
     for idx, (name, inst) in enumerate(instance_ensemble(seed, n_weighted)):
-        started = time.monotonic()
-        total = inst.total_weight()
-        target = math.sqrt(total)
-        exact = solve_exact(inst, alpha=0.5)
-        constructive = select_weighted(inst)
-        ok = (
-            exact.value >= target - 1e-9
-            and constructive.value >= target - 1e-9
-        )
-        if inst.a_count <= 12 and idx % naive_every == 0:
-            naive = oracle.admissible_naive(inst, alpha=0.5, budget=budget)
-            ok = ok and math.isclose(naive.value, exact.value, rel_tol=1e-12, abs_tol=1e-12)
-        uniform = select_uniform(inst)
-        ok = ok and len(uniform.b_chosen) >= _ceil_sqrt(inst.b_count)
+        naive_budget = budget if inst.a_count <= 12 and idx % naive_every == 0 else None
         rows.append(
             _row("admissible", name, "weighted-selection>=sqrt-total", inst.b_count, None,
-                 target, exact.value, ok, started)
+                 _weighted_check, inst, naive_budget)
         )
-    for k in (1, 2, 3):
-        inst = generators.dyadic_bipartite(k)
-        started = time.monotonic()
-        best = solve_exact(inst, alpha=1.0)
-        rows.append(
-            _row("admissible", f"dyadic(k={k})", "exact-max-below-2m", inst.b_count, None,
-                 float(2 ** (k + 1)), best.value, best.value < 2 ** (k + 1), started,
-                 relation="<=")
-        )
-    inst = generators.alpha_counterexample(50)
-    started = time.monotonic()
-    best = solve_exact(inst, alpha=0.6, limit=64)
-    rows.append(
-        _row("admissible", "alpha-counterexample(t=50)", "exact-max-below-1(alpha=0.6)",
-             inst.b_count, None, 1.0, best.value, best.value < 1.0, started,
-             relation="<=")
-    )
+    exact_rows = [
+        (f"dyadic(k={k})", "exact-max-below-2m", generators.dyadic_bipartite(k), 1.0,
+         float(2 ** (k + 1)), DEFAULT_EXHAUSTION_LIMIT)
+        for k in (1, 2, 3)
+    ]
+    exact_rows.append(("alpha-counterexample(t=50)", "exact-max-below-1(alpha=0.6)",
+                       generators.alpha_counterexample(50), 0.6, 1.0, 64))
+    for name, algorithm, inst, *args in exact_rows:
+        rows.append(_row("admissible", name, algorithm, inst.b_count, None,
+                         _exact_below, inst, *args, relation="<="))
     return rows
+
+
+def _claim_check(g: Graph, budget) -> tuple:
+    size, witness = oracle.max_induced_tree_exact(g, budget)
+    base = finders.TreeCertificate(witness, min(witness), float(size), "oracle")
+    return _worst_over_roots(g, range(g.n), 1.0 + size / 2.0,
+                             partial(finders.reroute_through_vertex, g, base))
 
 
 def suite_claim(seed: int, count: Optional[int] = None) -> list[dict]:
-    rows = []
     n_graphs = count if count is not None else 200
     budget = oracle.OracleBudget(max_vertices=14, time_limit=120.0)
-    for name, g in connected_ensemble(seed, n_graphs):
-        started = time.monotonic()
-        size, witness = oracle.max_induced_tree_exact(g, budget)
-        base = finders.TreeCertificate(witness, min(witness), float(size), "oracle")
-        required = 1.0 + size / 2.0
-        worst = None
-        ok = True
-        for v in range(g.n):
-            cert = finders.reroute_through_vertex(g, base, v)
-            if not finders.verify_certificate(g, cert) or v not in cert.vertices:
-                ok = False
-            if cert.size < required - finders.BOUND_EPS:
-                ok = False
-            worst = cert.size if worst is None else min(worst, cert.size)
-        rows.append(
-            _row("claim", name, "reroute>=1+half-max-tree", g.n, None, required, worst, ok, started)
-        )
-    return rows
+    return [
+        _row("claim", name, "reroute>=1+half-max-tree", g.n, None, _claim_check, g, budget)
+        for name, g in connected_ensemble(seed, n_graphs)
+    ]
+
+
+_RUNNERS = {
+    "triangle-free": suite_triangle_free,
+    "kr-free": suite_kr_free,
+    "admissible": suite_admissible,
+    "claim": suite_claim,
+}
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(suite: str, seed: int, count: Optional[int] = None) -> list[dict]:
-    runners = {
-        "triangle-free": suite_triangle_free,
-        "kr-free": suite_kr_free,
-        "admissible": suite_admissible,
-        "claim": suite_claim,
-    }
-    if suite not in runners:
+    if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     started = time.monotonic()
-    rows = runners[suite](seed, count)
+    rows = _RUNNERS[suite](seed, count)
     log.info("suite %s: %d rows in %.1fs", suite, len(rows), time.monotonic() - started)
     return rows
 

@@ -166,6 +166,20 @@ def verify_certificate(g: Graph, cert: TreeCertificate) -> bool:
     return certificate_failure(g, cert) is None
 
 
+def _report_failure(g: Graph, cert: TreeCertificate, root: int, required: float) -> Optional[str]:
+    """The verdict `find` and `bench` report: None if the certificate holds
+    against g, is rooted at the requested root and has at least `required`
+    vertices, else the first reason code that applies."""
+    failure = certificate_failure(g, cert)
+    if failure is not None:
+        return failure
+    if cert.root != root:
+        return ROOT_MISSING
+    if cert.size < required - BOUND_EPS:
+        return BOUND_UNMET
+    return None
+
+
 def theorem_bound(n: int, r: int) -> float:
     """The induced-tree size the theorems guarantee through any vertex of a
     connected K_r-free graph on n vertices: sqrt(n) for r = 3 (triangle-free)

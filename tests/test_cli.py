@@ -12,7 +12,8 @@ from induced_trees import (
     load_edge_list,
     save_edge_list,
 )
-from induced_trees import cli
+from induced_trees import bench, cli
+from induced_trees.admissible import AdmissibleSelection
 from induced_trees.cli import main
 from induced_trees.generators import ms_layered
 
@@ -116,6 +117,47 @@ class TestFind:
 
 def _never_parse(text):
     raise AssertionError("the header check should have rejected the file")
+
+
+class TestReportVerdict:
+    """find and bench judge a finder's certificate by one verdict: a valid
+    tree is not enough, it must hold the requested root and reach the
+    theorem bound."""
+
+    @pytest.fixture
+    def layered5(self, tmp_path):
+        path = tmp_path / "g.txt"
+        save_edge_list(ms_layered(5), path)
+        return str(path)
+
+    @pytest.fixture
+    def rooted_at_24(self, monkeypatch):
+        """Patch the triangle-free finder to answer every root with its
+        (valid) tree from vertex 24, which does not contain vertex 0."""
+        real = finders.find_tree_triangle_free
+        monkeypatch.setattr(finders, "find_tree_triangle_free", lambda g, v: real(g, 24))
+
+    def test_find_rejects_a_tree_without_the_requested_root(self, capsys, layered5, rooted_at_24):
+        code, out, _ = run(capsys, "find", layered5, "--root", "0")
+        report = json.loads(out)
+        assert 0 not in report["certificate"]["vertices"]
+        assert code == 1
+        assert (report["verified"], report["failure"]) == (False, "root-missing")
+
+    def test_bench_row_rejects_a_tree_without_the_requested_root(self, rooted_at_24):
+        row = bench._finder_row("triangle-free", "ms-layered(m=5)", ms_layered(5), 3, roots=[0])
+        assert row["verified"] is False
+
+    def test_find_names_an_unmet_theorem_bound(self, capsys, monkeypatch, layered5):
+        def edge(g, v):
+            return TreeCertificate(frozenset({v, min(g.neighbors(v))}), v, 1.0, "edge")
+
+        monkeypatch.setattr(finders, "find_tree_triangle_free", edge)
+        code, out, _ = run(capsys, "find", layered5, "--root", "0")
+        report = json.loads(out)
+        assert report["bound_achieved"] == 2 and report["bound_required"] == 5.0
+        assert code == 1
+        assert (report["verified"], report["failure"]) == (False, "bound-unmet")
 
 
 class TestOracle:
@@ -313,6 +355,18 @@ class TestBench:
         out = tmp_path / "adm"
         code, stdout, _ = run(capsys, "bench", "admissible", "--seed", "1", "--out", str(out))
         assert code == 0 and "all_verified=True" in stdout
+
+    def test_inadmissible_selection_fails_the_suite(self, tmp_path, capsys, monkeypatch):
+        def inflated(inst):
+            return AdmissibleSelection(
+                frozenset(range(inst.a_count)), frozenset(range(inst.b_count)), 1e9
+            )
+
+        monkeypatch.setattr(bench, "select_weighted", inflated)
+        code, stdout, _ = run(
+            capsys, "bench", "admissible", "--count", "10", "--out", str(tmp_path / "adm")
+        )
+        assert code == 1 and "all_verified=False" in stdout
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -286,6 +286,21 @@ class TestVerifyCertificate:
         cert = TreeCertificate(frozenset({0, 1}), 0, 3.0)
         assert certificate_failure(g, cert) == "bound-unmet"
 
+    @pytest.mark.parametrize(
+        "vertices, root, required, failure",
+        [
+            ({0, 1, 2, 3}, 9, 9.0, "not-induced-tree"),  # a cycle, before the root
+            ({0, 1}, 3, 9.0, "root-missing"),  # a tree elsewhere before the bound
+            ({0, 1}, 0, 2.5, "bound-unmet"),
+            ({0, 1}, 0, 2.0, None),
+        ],
+    )
+    def test_report_verdict_order(self, vertices, root, required, failure):
+        """The report verdict checks the certificate, then the requested
+        root, then the required size."""
+        cert = TreeCertificate(frozenset(vertices), 0, 1.0)
+        assert finders._report_failure(cycle_graph(4), cert, root, required) == failure
+
     def test_json_round_trip(self):
         cert = TreeCertificate(frozenset({2, 0, 5}), 2, 2.5, "star")
         again = TreeCertificate.from_json(cert.to_json())
