@@ -271,10 +271,11 @@ def run_suite(suite: str, seed: int, count: Optional[int] = None) -> list[dict]:
 def summarize(rows: list[dict]) -> dict:
     slacks = []
     for row in rows:
-        if row["bound_achieved"] is None or row["bound_required"] is None:
+        achieved, required = row["bound_achieved"], row["bound_required"]
+        if achieved is None or required is None:
             continue
-        diff = row["bound_achieved"] - row["bound_required"]
-        slacks.append(diff if row["relation"] == ">=" else -diff)
+        # required - achieved, not -(achieved - required): a met bound is +0.0.
+        slacks.append(achieved - required if row["relation"] == ">=" else required - achieved)
     return {
         "rows": len(rows),
         "all_verified": all(row["verified"] for row in rows),

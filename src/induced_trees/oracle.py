@@ -5,8 +5,9 @@ an extension is allowed only when the new vertex sees exactly one vertex
 of the current set, which enumerates precisely the induced trees, and a
 forbidden-set discipline (plus smallest-id seed canonicalization) visits
 each of them once.  Budgets are hard errors, never silent truncation:
-every search here checks the time limit at its first step and at every
-4096th.
+each tree search checks the time limit at its first step and at every
+4096th, and the naive admissible optimizer before its first subset and
+then every 2^floor(a/2) subsets.
 
 The growth runs on an explicit stack, so a tree may be as deep as the
 budget allows, whatever the recursion limit.  Each node also carries a
@@ -137,31 +138,115 @@ def _check_a_side(a_count: int, budget: OracleBudget) -> None:
         raise BudgetExceededError(f"a_count {a_count} exceeds budget {budget.max_a_side}")
 
 
+# Classes per sum table of the value filter: 2^8 floats a table.
+_CHUNK = 8
+
+
+def _hit_tables(class_bits: list[int]) -> tuple[list[int], list[int]]:
+    """For every subset x of the ids behind `class_bits` (bit j of x picks
+    class_bits[j]): ones[x], the classes seen by at least one id of x, and
+    twos[x], those seen by at least two.  Built by doubling."""
+    ones, twos = [0], [0]
+    for bits in class_bits:
+        twos += [t | (o & bits) for o, t in zip(ones, twos)]
+        ones += [o | bits for o in ones]
+    return ones, twos
+
+
+def _chunk_sums(wpow: list[float], members: list[list[int]]) -> list[list[float]]:
+    """Per chunk of _CHUNK classes, the plain float sum over every subset of
+    the chunk (bit j picks its j-th class), a class adding its items' wpow
+    one by one in index order.  No classes give one table, [0.0], so every
+    value has at least one lookup."""
+    sums = []
+    for items in members:
+        total = 0.0
+        for i in items:
+            total += wpow[i]
+        sums.append(total)
+    tables = []
+    for start in range(0, len(sums) or 1, _CHUNK):
+        table = [0.0]
+        for w in sums[start:start + _CHUNK]:
+            table += [t + w for t in table]
+        tables.append(table)
+    return tables
+
+
 def admissible_naive(
     inst: WeightedBipartiteInstance,
     alpha: float = 0.5,
     budget: OracleBudget | None = None,
 ) -> AdmissibleSelection:
-    """Reference optimizer: plain enumeration of every nonempty S subset A
-    with its forced closure.  Used to cross-check solve_exact."""
+    """Reference optimizer: every nonempty S subset A, in ascending order,
+    with its forced closure; the first S of the largest value wins.  Used
+    to cross-check solve_exact.
+
+    Every S is still evaluated, but none by a pass over the items.  Items
+    that see the same A-ids enter and leave every closure together, so
+    they form one class; there are at most min(b, 2^a - 1) classes.  A
+    splits into its low k = floor(a/2) ids and the rest, and for every
+    subset of each half a table holds the classes it sees at least once
+    (o) and at least twice (t).  The closure of S = (h << k) | l is then
+    the classes (oh | ol) ^ (th | tl | (oh & ol)), seen exactly once.  A
+    value filter, plain float sums tabulated per chunk of _CHUNK classes,
+    approximates each S's value, and only an S whose approximation comes
+    within a relative slack of the best so far (derived below) is summed
+    with math.fsum, as in the plain loop: item by item, ascending.  The
+    time limit is checked before each high-half subset, so every 2^k
+    subsets.
+    """
     budget = budget or OracleBudget()
     _check_alpha(alpha)
     _check_a_side(inst.a_count, budget)
     deadline = time.monotonic() + budget.time_limit
     wpow = [w ** alpha for w in inst.weights]
-    nbr_masks = inst.nbr_masks
-    best_val = -1.0
-    best_mask = 0
-    for s_mask in range(1, 1 << inst.a_count):
-        if s_mask % 4096 == 1 and time.monotonic() > deadline:
+    classes: dict[int, list[int]] = {}  # A-neighbourhood mask: its items
+    for i, mask in enumerate(inst.nbr_masks):
+        classes.setdefault(mask, []).append(i)
+    members = list(classes.values())
+    class_bits = [0] * inst.a_count
+    for c, mask in enumerate(classes):
+        for a in _iter_bits(mask):
+            class_bits[a] |= 1 << c
+    k = inst.a_count // 2
+    lows = list(zip(*_hit_tables(class_bits[:k])))
+    highs = zip(*_hit_tables(class_bits[k:]))
+    first, *rest = _chunk_sums(wpow, members)
+    rest = [(table, _CHUNK * c) for c, table in enumerate(rest, 1)]
+    chunk_mask = (1 << _CHUNK) - 1
+    # The filter skips no S whose fsum beats the best.  approx adds S's
+    # non-negative terms, each through at most b = len(wpow) additions: its
+    # class's chain, its chunk's, then the chain over the chunks.  A float
+    # addition never raises (an overflow is inf) and errs by at most
+    # u = 2^-53 relative, so approx >= exact * (1 - g) with
+    # g = bu / (1 - bu) <= 2bu.  If fsum(S) > best, then exact > best.  For
+    # best >= 2^-1021 the cutoff, fl(best * keep) with keep = fl(1 - slack),
+    # is at most best * (1 - slack)(1 + u)^2; with slack = 4(b + 2)u that is
+    # below best * (1 - g) < approx.  For a smaller best, 0 included, the
+    # cutoff is at most best.  There either every addition was exact, so
+    # approx = exact > best, or one rounded, which takes a result of at
+    # least 2^-1021 (below it floats are spaced 2^-1074, as the terms are),
+    # so approx >= 2^-1021 > best.  An S whose fsum overflows has an exact
+    # sum of about DBL_MAX or more, so it passes too, and the loop raises
+    # where the plain loop raises.
+    keep = 1.0 - 4 * (len(wpow) + 2) * 2.0 ** -53
+    best_val, best_mask, cutoff = -1.0, 0, -1.0
+    for h, (oh, th) in enumerate(highs):
+        if time.monotonic() > deadline:
             raise BudgetExceededError("oracle time limit exceeded")
-        val = math.fsum(
-            wpow[i]
-            for i, mask in enumerate(nbr_masks)
-            if (mask & s_mask).bit_count() == 1
-        )
-        if val > best_val:
-            best_val = val
-            best_mask = s_mask
+        onces = [(oh | ol) ^ (th | tl | (oh & ol)) for ol, tl in lows]
+        approx = [first[x & chunk_mask] for x in onces]
+        for table, shift in rest:
+            approx = [v + table[x >> shift & chunk_mask] for v, x in zip(approx, onces)]
+        if max(approx) <= cutoff:
+            continue
+        for l in range(0 if h else 1, len(onces)):  # S = 0 is no candidate
+            if approx[l] > cutoff:
+                items = sorted(i for c in _iter_bits(onces[l]) for i in members[c])
+                val = math.fsum([wpow[i] for i in items])
+                if val > best_val:
+                    best_val, best_mask = val, h << k | l
+                    cutoff = best_val * keep
     chosen = frozenset(_iter_bits(best_mask))
     return AdmissibleSelection(chosen, closure_b(inst, chosen), best_val, alpha)

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tracemalloc
 
@@ -367,6 +368,15 @@ class TestBench:
             capsys, "bench", "admissible", "--count", "10", "--out", str(tmp_path / "adm")
         )
         assert code == 1 and "all_verified=False" in stdout
+
+    def test_met_bound_has_positive_zero_slack(self):
+        # The largest induced tree of ms_layered(3) has exactly 2m - 1 = 5 vertices.
+        g = ms_layered(3)
+        row = bench._row("triangle-free", "ms-layered(m=3)", "oracle-max-tree<=2m-1", g.n, 3,
+                         bench._oracle_below, g, 5, relation="<=")
+        assert row["bound_achieved"] == row["bound_required"] and row["verified"]
+        min_slack = bench.summarize([row])["min_slack"]
+        assert min_slack == 0.0 and math.copysign(1, min_slack) == 1
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,16 +2,18 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from induced_trees import (
     BudgetExceededError,
     Graph,
     OracleBudget,
+    WeightedBipartiteInstance,
     admissible_naive,
     is_induced_tree,
     max_induced_tree_exact,
@@ -19,8 +21,10 @@ from induced_trees import (
     save_edge_list,
     solve_exact,
 )
+from induced_trees.admissible import AdmissibleSelection, closure_b
 from induced_trees.cli import main
 from induced_trees.generators import (
+    alpha_counterexample,
     dyadic_bipartite,
     ms_layered,
     ms_through_vertex,
@@ -100,6 +104,75 @@ def small_graphs(draw):
     pairs = list(combinations(range(n), 2))
     rolls = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [pair for pair, roll in zip(pairs, rolls) if roll < density])
+
+
+def _plain_naive(inst, alpha):
+    """The loop admissible_naive ran before its hit tables and value
+    filter, budget aside: every nonempty S in ascending order, each valued
+    by one fsum pass over the items; the first S of the largest value wins."""
+    wpow = [w ** alpha for w in inst.weights]
+    best_val, best_mask = -1.0, 0
+    for s_mask in range(1, 1 << inst.a_count):
+        val = math.fsum(
+            wpow[i]
+            for i, mask in enumerate(inst.nbr_masks)
+            if (mask & s_mask).bit_count() == 1
+        )
+        if val > best_val:
+            best_val, best_mask = val, s_mask
+    chosen = frozenset(a for a in range(inst.a_count) if best_mask >> a & 1)
+    return AdmissibleSelection(chosen, closure_b(inst, chosen), best_val, alpha)
+
+
+def naive_outcome(optimizer, inst, alpha):
+    """The selection, or OverflowError where fsum overflows."""
+    try:
+        return optimizer(inst, alpha)
+    except OverflowError:
+        return OverflowError
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak memory tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Zeros, the smallest subnormal, tiny and huge values, and 2^-53 with
+# 1 + 2^-52, whose plain sums round below their fsum.
+SPECIAL_WEIGHTS = [0.0, 5e-324, 1e-300, 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 1e308]
+
+
+@st.composite
+def naive_instances(draw):
+    """Up to 10 A-ids and 24 items: special weights, small integers (so
+    values tie) and uniform draws; items are drawn from a pool, so
+    duplicates occur."""
+    a = draw(st.integers(1, 10))
+    weights = st.one_of(
+        st.sampled_from(SPECIAL_WEIGHTS),
+        st.integers(0, 4).map(float),
+        st.floats(0.0, 1.0),
+    )
+    nbrs = st.sets(st.integers(0, a - 1), min_size=1).map(sorted)
+    pool = draw(st.lists(st.tuples(weights, nbrs), min_size=1, max_size=8))
+    items = draw(st.lists(st.sampled_from(pool), max_size=24))
+    return WeightedBipartiteInstance(a, items)
+
+
+# With u = 2^-53, the best after S = {0} is fsum(1 + 3u + 2u) = 1 + 4u.  S = {1}
+# sums exactly to 1 + 6u, but its filter sum is only 1 + 4u: its class of 1
+# and three u's adds up to 1.0, and 1.0 + 3u rounds to 1 + 4u.
+ROUNDED_BELOW = WeightedBipartiteInstance(
+    2, [(1.0, [0, 1])] + [(2.0 ** -53, [0, 1])] * 3 + [(2.0 ** -52, [0]), (3 * 2.0 ** -53, [1])]
+)
+
+# {0}, {1} and {0, 1} each collect two items of weight 1: {0} must win.
+TIED = WeightedBipartiteInstance(2, [(1.0, [0]), (1.0, [1]), (1.0, [0, 1])])
 
 
 def random_instance(rng, max_a=8, max_b=12):
@@ -258,6 +331,38 @@ class TestAdmissibleNaive:
     def test_matches_solver_on_dyadic(self):
         inst = dyadic_bipartite(2)
         assert admissible_naive(inst, alpha=1.0).value == solve_exact(inst, alpha=1.0).value
+
+    @settings(max_examples=300, deadline=None)
+    @given(naive_instances(), st.sampled_from([0.25, 0.5, 1.0]))
+    @example(ROUNDED_BELOW, 1.0)
+    @example(TIED, 0.5)
+    @example(WeightedBipartiteInstance(1, [(1e308, [0]), (1e308, [0])]), 1.0)  # fsum overflows
+    def test_equals_the_plain_loop(self, inst, alpha):
+        assert naive_outcome(admissible_naive, inst, alpha) == naive_outcome(_plain_naive, inst, alpha)
+
+    def test_time_limit_hits_at_once_on_twenty_ids(self):
+        with pytest.raises(BudgetExceededError, match="time limit"):
+            admissible_naive(
+                alpha_counterexample(20),
+                budget=OracleBudget(max_a_side=20, time_limit=1e-9),
+            )
+
+    def test_twenty_ids_in_bounded_memory(self):
+        # 2^20 subsets; the hit tables hold 2 * 2^10 masks a half.
+        sel, peak = traced_peak(admissible_naive, alpha_counterexample(20),
+                                budget=OracleBudget(max_a_side=20))
+        assert peak < 2 * 2**20
+        assert sel.a_chosen == {0}
+        assert math.isclose(sel.value, math.sqrt(1 - 1 / 20) + 1 / 20, rel_tol=1e-12)
+
+    def test_many_items_over_few_ids_in_bounded_memory(self):
+        # 20,000 items in three classes of equal A-neighbourhoods; sum
+        # tables per item, not per class, would take about 20 MB.
+        items = [(float(i % 7), [i % 2] if i % 3 else [0, 1]) for i in range(20000)]
+        inst = WeightedBipartiteInstance(2, items)
+        sel, peak = traced_peak(admissible_naive, inst)
+        assert peak < 4 * 2**20
+        assert sel == _plain_naive(inst, 0.5)
 
     def test_matches_solver_on_random_instances(self):
         rng = random.Random(12)
