@@ -83,7 +83,10 @@ class WeightedBipartiteInstance:
                 mask |= 1 << a
             if not mask:
                 raise ValueError(f"b_items[{idx}]: degree must be >= 1")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:  # an integer beyond the float range
+                w = math.inf
             if not (w >= 0.0) or math.isinf(w):
                 raise ValueError(f"b_items[{idx}]: weight must be a nonnegative real")
             weights.append(w)
@@ -207,6 +210,8 @@ class AdmissibleSelection:
         # Ids outside A see no item, so leaving them out of the mask is exact.
         s_mask = _mask_of(a for a in self.a_chosen if 0 <= a < inst.a_count)
         for i in self.b_chosen:
+            if not (0 <= i < inst.b_count):
+                raise ValueError(f"b item {i} out of range")
             hits = (inst.nbr_masks[i] & s_mask).bit_count()
             if hits != 1:
                 raise ValueError(f"b item {i} has {hits} chosen neighbors, wanted exactly 1")
@@ -246,11 +251,15 @@ def solve_exact(
 
     Branch and bound over A-membership.  The B side never needs searching:
     once S is fixed the optimal B-part is its closure.  Branch order is by
-    decreasing neighborhood mass sum w^alpha (ties: smallest id); the upper
-    bound at a node is the mass of every item that can still end up with
-    exactly one chosen neighbor.  With `target` given the search returns the
-    first selection whose value reaches it; without a target the A side must
-    fit under `limit` or the search refuses to start.
+    decreasing neighborhood mass sum w^alpha (ties: smallest id), the
+    in-branch before the out-branch.  The upper bound at a node is the
+    math.fsum of w^alpha over every item that can still end up with exactly
+    one chosen neighbor, recomputed at each node; a correctly rounded sum
+    is monotone, so it never falls below a value some leaf under the node
+    reaches, and at a leaf it is the leaf's value.  The first S in that
+    order with the largest value wins.  With `target` given the search
+    returns the first selection whose value reaches it; without a target
+    the A side must fit under `limit` or the search refuses to start.
     """
     _check_alpha(alpha)
     a_count = inst.a_count
@@ -258,67 +267,40 @@ def solve_exact(
         raise ExhaustionLimitError(
             f"exact search infeasible: a_count={a_count} exceeds limit {limit} and no target given"
         )
-    nb = inst.b_count
-    masks = inst.nbr_masks
     wpow = [w ** alpha for w in inst.weights]
     items_of = inst.items_of_a
     order = sorted(
         range(a_count),
         key=lambda a: (-math.fsum(wpow[i] for i in items_of[a]), a),
     )
-    chosen_cnt = [0] * nb
-    undecided = [m.bit_count() for m in masks]
+    # seen[k]: the items order[k] sees; later[k]: those some order[j], j >= k, sees.
+    seen = [_mask_of(items_of[a]) for a in order]
+    later = [0] * (a_count + 1)
+    for k in range(a_count - 1, -1, -1):
+        later[k] = later[k + 1] | seen[k]
 
-    bound = math.fsum(wpow)
     best_val = -1.0
-    best_set: Optional[frozenset[int]] = None
-    included: list[int] = []
-
-    def counted(i: int) -> bool:
-        c = chosen_cnt[i]
-        return c == 1 or (c == 0 and undecided[i] > 0)
-
-    def decide(a_id: int, include: bool, step: int = 1) -> None:
-        """Decide a_id in or out; step=-1 undoes that decision."""
-        nonlocal bound
-        for i in items_of[a_id]:
-            was = counted(i)
-            undecided[i] -= step
-            if include:
-                chosen_cnt[i] += step
-            if counted(i) != was:
-                bound += wpow[i] if not was else -wpow[i]
-
-    # Depth-first over order[k], first in, then out, on an explicit stack:
-    # taken[k] is True while order[k]'s in-branch runs, False in its out-branch.
-    taken: list[bool] = []
-    while True:
-        k = len(taken)
-        if bound > best_val:
-            if k < a_count:
-                included.append(order[k])
-                decide(order[k], True)
-                taken.append(True)
-                continue
-            if included:
-                value = math.fsum(wpow[i] for i in range(nb) if chosen_cnt[i] == 1)
-                if value > best_val:
-                    best_val = value
-                    best_set = frozenset(included)
-                    if target is not None and value >= target:
-                        break
-        # Back up to the deepest in-branch and switch it to out.
-        while taken and not taken[-1]:
-            taken.pop()
-            decide(order[len(taken)], False, -1)
-        if not taken:
-            break
-        k = len(taken) - 1
-        decide(order[k], True, -1)
-        included.pop()
-        decide(order[k], False)
-        taken[-1] = False
-    assert best_set is not None
+    best_s = 0
+    # A state is (k, S as a mask over order positions, items seen at least
+    # once, items seen at least twice); order[k] is the next to decide.
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        k, s, once, twice = stack.pop()
+        # Items seen exactly once, and unseen items an undecided id sees.
+        kept = (once ^ twice) | (later[k] ^ (later[k] & once))
+        bound = math.fsum(wpow[i] for i in _iter_bits(kept))
+        if bound <= best_val:
+            continue
+        if k < a_count:
+            m = seen[k]
+            stack.append((k + 1, s, once, twice))
+            stack.append((k + 1, s | 1 << k, once | m, twice | (once & m)))
+        elif s:
+            best_val = bound
+            best_s = s
+            if target is not None and bound >= target:
+                break
+    best_set = frozenset(order[k] for k in _iter_bits(best_s))
     return AdmissibleSelection(best_set, closure_b(inst, best_set), best_val, alpha)
 
 

@@ -198,7 +198,7 @@ def _weighted_check(inst: WeightedBipartiteInstance, naive_budget) -> tuple:
     if naive_budget is not None:
         naive = oracle.admissible_naive(inst, alpha=0.5, budget=naive_budget)
         selections.append(naive)
-        ok = ok and math.isclose(naive.value, exact.value, rel_tol=1e-12, abs_tol=1e-12)
+        ok = ok and naive.value == exact.value
     uniform = select_uniform(inst)
     selections.append(uniform)
     ok = ok and len(uniform.b_chosen) >= _ceil_sqrt(inst.b_count)

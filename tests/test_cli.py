@@ -208,6 +208,12 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(path))
         assert code == 2 and out == "" and "a_count" in err
 
+    def test_integer_weight_beyond_the_float_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge_w.json"
+        path.write_text('{"a_count": 1, "b_items": [{"w": 1%s, "nbrs": [0]}]}' % ("0" * 400))
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2 and out == "" and "b_items[0]: weight must be" in err
+
     def test_huge_a_count_is_rejected_by_the_budget(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text('{"a_count": 2000000, "b_items": [{"w": 1, "nbrs": [0]}]}')

@@ -5,6 +5,7 @@ JSON form or the edge-list format moves this digest."""
 
 import hashlib
 import json
+import math
 from functools import cache
 
 from induced_trees import (
@@ -14,9 +15,11 @@ from induced_trees import (
     find_tree_triangle_free,
     format_edge_list,
     reroute_through_vertex,
+    solve_exact,
 )
 from induced_trees.bench import (
     connected_ensemble,
+    instance_ensemble,
     kr_free_ensemble,
     run_suite,
     triangle_free_ensemble,
@@ -148,3 +151,22 @@ def _bench_records():
 
 def test_bench_rows_match_golden_digest():
     assert _digest(_bench_records()) == BENCH_ROWS_SHA256
+
+
+# Every solve_exact selection on the seeded weighted instances: the
+# optimum at alpha 0.5 and 1.0, then the first selection reaching
+# sqrt(total weight).  A rewrite of the exact search must keep its
+# pre-order and tie-break, so these stay byte-identical.
+EXACT_SHA256 = "3dd68f4acda6011a2f1a95bdece9f595c41b45966728a2a0aca1389de11442f8"
+
+
+def _exact_records():
+    for _, inst in instance_ensemble(1, 1000):
+        runs = [{"alpha": 0.5}, {"alpha": 1.0}, {"target": math.sqrt(inst.total_weight())}]
+        for kwargs in runs:
+            sel = solve_exact(inst, **kwargs)
+            yield f"{sorted(sel.a_chosen)} {sorted(sel.b_chosen)} {sel.value!r}"
+
+
+def test_exact_selections_match_golden_digest():
+    assert _digest(_exact_records()) == EXACT_SHA256

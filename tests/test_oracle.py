@@ -371,4 +371,4 @@ class TestAdmissibleNaive:
             alpha = rng.choice([0.5, 0.8, 1.0])
             naive = admissible_naive(inst, alpha=alpha)
             exact = solve_exact(inst, alpha=alpha)
-            assert math.isclose(naive.value, exact.value, rel_tol=1e-12, abs_tol=1e-12)
+            assert naive.value == exact.value
