@@ -6,14 +6,19 @@ JSON form or the edge-list format moves this digest."""
 import hashlib
 import json
 import math
+import random
 from functools import cache
 
 from induced_trees import (
     Graph,
+    OracleBudget,
     find_large_tree,
     find_tree_kr_free,
     find_tree_triangle_free,
     format_edge_list,
+    is_connected,
+    max_induced_tree_exact,
+    max_tree_through_vertex_exact,
     reroute_through_vertex,
     solve_exact,
 )
@@ -27,6 +32,7 @@ from induced_trees.bench import (
 from induced_trees.generators import (
     line_graph_balanced_tree,
     ms_layered,
+    ms_through_vertex,
     random_kr_free,
     random_triangle_free,
 )
@@ -170,3 +176,38 @@ def _exact_records():
 
 def test_exact_selections_match_golden_digest():
     assert _digest(_exact_records()) == EXACT_SHA256
+
+
+# Every exact tree maximum with its witness, on dense connected graphs of
+# 20 to 30 vertices and on the layered extremal graphs.  A faster tree
+# search must keep its pre-order and "first maximum wins", so the witnesses
+# stay byte-identical, not just the sizes.
+ORACLE_SHA256 = "cbaeffbc87e96ae148a69c03524d82527a39e810ed3085a86e709c7a87812293"
+
+
+def _connected_gnp(seed: int) -> Graph:
+    """A connected G(n, p) with n in 20..30 and p in 0.3..0.5, redrawn from
+    the same generator until connected."""
+    rng = random.Random(seed)
+    while True:
+        n, p = rng.randint(20, 30), rng.uniform(0.3, 0.5)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if is_connected(g):
+            return g
+
+
+def _oracle_records():
+    budget = OracleBudget(max_vertices=30)
+    graphs = [_connected_gnp(seed) for seed in range(40)]
+    graphs += [ms_layered(m) for m in range(2, 6)]
+    for g in graphs:
+        size, witness = max_induced_tree_exact(g, budget)
+        yield f"{size} {sorted(witness)}"
+    for m in range(2, 6):
+        g, v = ms_through_vertex(m)
+        size, witness = max_tree_through_vertex_exact(g, v, budget)
+        yield f"{size} {sorted(witness)}"
+
+
+def test_oracle_witnesses_match_golden_digest():
+    assert _digest(_oracle_records()) == ORACLE_SHA256
