@@ -241,6 +241,21 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
+def _item_classes(inst: WeightedBipartiteInstance) -> tuple[list[list[int]], list[int]]:
+    """Items that see the same A-ids enter and leave every closure
+    together, so they form one class.  Returns the classes' items,
+    ascending, classes ordered by their first item, and for each A-id the
+    mask of the classes that see it."""
+    classes: dict[int, list[int]] = {}  # A-neighbourhood mask: its items
+    for i, mask in enumerate(inst.nbr_masks):
+        classes.setdefault(mask, []).append(i)
+    class_bits = [0] * inst.a_count
+    for c, mask in enumerate(classes):
+        for a in _iter_bits(mask):
+            class_bits[a] |= 1 << c
+    return list(classes.values()), class_bits
+
+
 def solve_exact(
     inst: WeightedBipartiteInstance,
     alpha: float = 0.5,
@@ -256,8 +271,10 @@ def solve_exact(
     math.fsum of w^alpha over every item that can still end up with exactly
     one chosen neighbor, recomputed at each node; a correctly rounded sum
     is monotone, so it never falls below a value some leaf under the node
-    reaches, and at a leaf it is the leaf's value.  The first S in that
-    order with the largest value wins.  With `target` given the search
+    reaches, and at a leaf it is the leaf's value.  The search tracks
+    classes of items with equal A-neighbourhoods, not items, so a node
+    lists at most min(b, 2^a - 1) classes and fsums their terms.  The
+    first S in that order with the largest value wins.  With `target` given the search
     returns the first selection whose value reaches it; without a target
     the A side must fit under `limit` or the search refuses to start.
     """
@@ -268,27 +285,36 @@ def solve_exact(
             f"exact search infeasible: a_count={a_count} exceeds limit {limit} and no target given"
         )
     wpow = [w ** alpha for w in inst.weights]
-    items_of = inst.items_of_a
-    order = sorted(
-        range(a_count),
-        key=lambda a: (-math.fsum(wpow[i] for i in items_of[a]), a),
-    )
-    # seen[k]: the items order[k] sees; later[k]: those some order[j], j >= k, sees.
-    seen = [_mask_of(items_of[a]) for a in order]
+    members, class_bits = _item_classes(inst)
+    terms = [[wpow[i] for i in items] for items in members]
+
+    def mass(classes: int) -> float:
+        """fsum of w^alpha over the items of `classes`, highest class first;
+        fsum is correctly rounded, so the order of the terms does not matter."""
+        values: list[float] = []
+        while classes:
+            c = classes.bit_length() - 1
+            values += terms[c]
+            classes ^= 1 << c
+        return math.fsum(values)
+
+    order = sorted(range(a_count), key=lambda a: (-mass(class_bits[a]), a))
+    # seen[k]: the classes order[k] sees; later[k]: those some order[j], j >= k, sees.
+    seen = [class_bits[a] for a in order]
     later = [0] * (a_count + 1)
     for k in range(a_count - 1, -1, -1):
         later[k] = later[k + 1] | seen[k]
 
     best_val = -1.0
     best_s = 0
-    # A state is (k, S as a mask over order positions, items seen at least
-    # once, items seen at least twice); order[k] is the next to decide.
+    # A state is (k, S as a mask over order positions, classes seen at
+    # least once, classes seen at least twice); order[k] is the next to decide.
     stack = [(0, 0, 0, 0)]
     while stack:
         k, s, once, twice = stack.pop()
-        # Items seen exactly once, and unseen items an undecided id sees.
+        # Classes seen exactly once, and unseen classes an undecided id sees.
         kept = (once ^ twice) | (later[k] ^ (later[k] & once))
-        bound = math.fsum(wpow[i] for i in _iter_bits(kept))
+        bound = mass(kept)
         if bound <= best_val:
             continue
         if k < a_count:

@@ -16,11 +16,23 @@ A superset keeps those neighbours, so a dead vertex never joins any tree
 below the node; when u joins with in-universe neighbours mu, the dead set
 grows by mu & (the neighbours so far).  Dead vertices leave both the
 candidates (so every candidate sees exactly one vertex of the set and
-needs no test) and the pool behind the bound size + |pool| <= best.  The
-tighter bound prunes only subtrees that cannot strictly beat the best so
-far, children are visited in the same pre-order, and the best set changes
-only on a strict gain, so the returned witness, the first maximum in that
-order, is the one a search without dead sets returns; it just visits
+needs no test) and the pool behind the bound size + |pool| <= best.
+
+Two more bounds use the room = size + |pool| - best a node has left.
+The child for candidate u forbids the candidates below u, so its bound is
+at most size + |pool| - #below; best only grows, so a child with room or
+more candidates below it would be pruned when popped, and is not pushed.
+And every candidate sees exactly one vertex of the set, so two adjacent
+candidates never join one tree: they would close a cycle.  A tree below
+the node thus takes at most one vertex of each clique of a greedy clique
+cover of the candidates, and the node is pruned when the cover saves
+(#candidates - #cliques) room or more.
+
+Each bound prunes only subtrees that cannot strictly beat the best so
+far, so a pruned node would never have changed the best.  Children are
+visited in the same pre-order, and the best set changes only on a strict
+gain, so the returned witness, the first maximum in that order, is the
+one a search without dead sets or these bounds returns; it just visits
 fewer nodes.
 """
 
@@ -30,7 +42,13 @@ import math
 import time
 from dataclasses import dataclass
 
-from .admissible import AdmissibleSelection, WeightedBipartiteInstance, closure_b, _check_alpha
+from .admissible import (
+    AdmissibleSelection,
+    WeightedBipartiteInstance,
+    _check_alpha,
+    _item_classes,
+    closure_b,
+)
 from .graph import Graph, _iter_bits
 
 
@@ -47,6 +65,27 @@ class OracleBudget:
     def __post_init__(self):
         if self.max_vertices < 1 or self.max_a_side < 1 or self.time_limit <= 0:
             raise ValueError("budget fields must be positive")
+        # A NaN deadline compares false with every time, so it never fires.
+        if not math.isfinite(self.time_limit):
+            raise ValueError(f"time_limit must be finite, got {self.time_limit}")
+
+
+def _clique_cover_size(masks: tuple[int, ...], vertices: int) -> int:
+    """The number of cliques in a greedy cover of `vertices`: each clique
+    starts at the highest vertex left and adds, highest first, every vertex
+    left that sees all of the clique so far."""
+    cliques = 0
+    while vertices:
+        v = vertices.bit_length() - 1
+        clique = 1 << v
+        common = masks[v] & vertices
+        while common:
+            w = common.bit_length() - 1
+            clique |= 1 << w
+            common &= masks[w]
+        vertices ^= clique
+        cliques += 1
+    return cliques
 
 
 class _TreeSearch:
@@ -78,14 +117,21 @@ class _TreeSearch:
                     return
             out = forbidden | s_mask | dead
             pool = universe ^ (universe & out)
-            if size + pool.bit_count() <= self.best_size:
+            room = size + pool.bit_count() - self.best_size
+            if room <= 0:
                 continue
             ext = nbr_mask ^ (nbr_mask & out)
+            below = ext.bit_count()
+            if below > room and below - _clique_cover_size(masks, ext) >= room:
+                continue
             # Highest first, so the lowest child is popped first; what is
             # left of ext is the earlier siblings, forbidden to this child.
             while ext:
                 u = ext.bit_length() - 1
                 ext ^= 1 << u
+                below -= 1
+                if below >= room:  # this child cannot beat the best
+                    continue
                 mu = masks[u] & universe
                 stack.append((
                     s_mask | 1 << u, size + 1, forbidden | ext,
@@ -201,14 +247,7 @@ def admissible_naive(
     _check_a_side(inst.a_count, budget)
     deadline = time.monotonic() + budget.time_limit
     wpow = [w ** alpha for w in inst.weights]
-    classes: dict[int, list[int]] = {}  # A-neighbourhood mask: its items
-    for i, mask in enumerate(inst.nbr_masks):
-        classes.setdefault(mask, []).append(i)
-    members = list(classes.values())
-    class_bits = [0] * inst.a_count
-    for c, mask in enumerate(classes):
-        for a in _iter_bits(mask):
-            class_bits[a] |= 1 << c
+    members, class_bits = _item_classes(inst)
     k = inst.a_count // 2
     lows = list(zip(*_hit_tables(class_bits[:k])))
     highs = zip(*_hit_tables(class_bits[k:]))

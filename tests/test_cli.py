@@ -194,6 +194,19 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", str(path), "--max-n", "25")
         assert code == 0 and json.loads(out)["max_tree"] == 9
 
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["graph", "instance"])
+    def test_non_finite_time_limit_is_usage_error(self, tmp_path, capsys, kind, limit):
+        # A NaN deadline never fires, so the search would run unbounded.
+        path = tmp_path / "input"
+        if kind == "graph":
+            save_edge_list(ms_layered(4), path)
+        else:
+            run(capsys, "gen", "dyadic", "--k", "2", "--out", str(path))
+        code, out, err = run(capsys, "oracle", str(path), "--time-limit", limit)
+        assert code == 2 and out == ""
+        assert "time_limit must be finite" in err
+
     def test_instance_json_input_runs_naive_optimizer(self, tmp_path, capsys):
         path = tmp_path / "dyadic.json"
         run(capsys, "gen", "dyadic", "--k", "2", "--out", str(path))

@@ -21,6 +21,7 @@ from induced_trees import (
     save_edge_list,
     solve_exact,
 )
+from induced_trees import oracle
 from induced_trees.admissible import AdmissibleSelection, closure_b
 from induced_trees.cli import main
 from induced_trees.generators import (
@@ -28,6 +29,7 @@ from induced_trees.generators import (
     dyadic_bipartite,
     ms_layered,
     ms_through_vertex,
+    random_kr_free,
     random_triangle_free,
 )
 
@@ -214,6 +216,11 @@ class TestMaxInducedTree:
                 g, OracleBudget(max_vertices=30, time_limit=1e-9)
             )
 
+    @pytest.mark.parametrize("limit", [math.nan, math.inf])
+    def test_non_finite_time_limit_is_rejected(self, limit):
+        with pytest.raises(ValueError, match="time_limit must be finite"):
+            OracleBudget(time_limit=limit)
+
     def test_growth_matches_subset_filtering(self):
         rng = random.Random(6)
         for _ in range(25):
@@ -222,6 +229,22 @@ class TestMaxInducedTree:
             size, witness = max_induced_tree_exact(g)
             assert size == brute_force_max_tree(g)
             assert is_induced_tree(g, witness) and len(witness) == size
+
+    def test_dense_graph_work_stays_bounded(self, monkeypatch):
+        # 4,865 nodes with both bounds; 7,183 without the push-time room
+        # check, 10,703 without the clique cover, 26,993 with neither.
+        searches = []
+
+        class CountedSearch(oracle._TreeSearch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        monkeypatch.setattr(oracle, "_TreeSearch", CountedSearch)
+        g = random_kr_free(30, 6, 0.4, 1)
+        size, witness = max_induced_tree_exact(g, OracleBudget(max_vertices=30))
+        assert size == 11 and is_induced_tree(g, witness)
+        assert searches[0].nodes < 6000
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
