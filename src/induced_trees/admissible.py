@@ -14,7 +14,9 @@ both constructive, plus an exact branch-and-bound optimizer
 fraction of the most populous degree class.
 
 An instance stores one adjacency form, a neighbour bitmask per item, and
-every solver reads it.  Instances are immutable; solvers are pure apart
+every solver reads it; no solver reads the one view, `b_items`.  JSON is
+read by `WeightedBipartiteInstance.from_json` and written by
+`save_instance`.  Instances are immutable; solvers are pure apart
 from the explicit seed of the randomized selector, so concurrent use on
 shared instances is safe.
 """
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .graph import _iter_bits, _mask_of
+from .graph import _is_id, _iter_bits, _mask_of
 
 DEFAULT_EXHAUSTION_LIMIT = 24
 
@@ -53,6 +55,8 @@ class LemmaViolationError(RuntimeError):
 
 
 class BItem(NamedTuple):
+    """One item of the `b_items` view; stays while perfbench reads it."""
+
     weight: float
     nbrs: frozenset[int]
 
@@ -62,11 +66,11 @@ class WeightedBipartiteInstance:
 
     Every B-item must have degree >= 1 and all neighbor ids must be below
     a_count.  Stores a_count, `weights` and `nbr_masks` (bit a of item i's
-    mask is set when i sees A-id a); `b_items` and `items_of_a` are views
-    built from the masks on first read, so nothing is allocated per A-id.
+    mask is set when i sees A-id a); `b_items` is a view built from the
+    masks on first read.
     """
 
-    __slots__ = ("a_count", "weights", "nbr_masks", "_b_items", "_items_of_a")
+    __slots__ = ("a_count", "weights", "nbr_masks", "_b_items")
 
     def __init__(self, a_count: int, b_items: Iterable[tuple[float, Iterable[int]]]):
         a_count = operator.index(a_count)  # a float is a TypeError, as in range()
@@ -95,26 +99,15 @@ class WeightedBipartiteInstance:
         self.weights = tuple(weights)
         self.nbr_masks = tuple(masks)
         self._b_items = None
-        self._items_of_a = None
 
     @property
     def b_items(self) -> tuple[BItem, ...]:
-        """Each item as BItem(weight, frozenset of its A-neighbours)."""
+        """Each item as BItem(weight, frozenset of its A-neighbours).  No
+        solver reads it; it stays while perfbench reads it."""
         if self._b_items is None:
             pairs = zip(self.weights, self.nbr_masks)
             self._b_items = tuple(BItem(w, frozenset(_iter_bits(m))) for w, m in pairs)
         return self._b_items
-
-    @property
-    def items_of_a(self) -> tuple[tuple[int, ...], ...]:
-        """For each A-id, the ascending indices of the items that see it."""
-        if self._items_of_a is None:
-            items: list[list[int]] = [[] for _ in range(self.a_count)]
-            for i, m in enumerate(self.nbr_masks):
-                for a in _iter_bits(m):
-                    items[a].append(i)
-            self._items_of_a = tuple(map(tuple, items))
-        return self._items_of_a
 
     @property
     def b_count(self) -> int:
@@ -160,7 +153,7 @@ def _instance_payload(text: str) -> tuple[int, list]:
         raise InstanceParseError("expected object with 'a_count' and 'b_items'")
     a_count = payload["a_count"]
     raw_items = payload["b_items"]
-    if not isinstance(a_count, int) or isinstance(a_count, bool):
+    if not _is_id(a_count):
         raise InstanceParseError("'a_count' must be an integer")
     if not isinstance(raw_items, list):
         raise InstanceParseError("'b_items' must be a list")
@@ -168,11 +161,9 @@ def _instance_payload(text: str) -> tuple[int, list]:
     for idx, raw in enumerate(raw_items):
         if not isinstance(raw, dict) or "w" not in raw or "nbrs" not in raw:
             raise InstanceParseError(f"b_items[{idx}]: expected object with 'w' and 'nbrs'")
-        if not isinstance(raw["w"], (int, float)) or isinstance(raw["w"], bool):
+        if not (_is_id(raw["w"]) or isinstance(raw["w"], float)):
             raise InstanceParseError(f"b_items[{idx}]: 'w' must be a number")
-        if not isinstance(raw["nbrs"], list) or any(
-            not isinstance(a, int) or isinstance(a, bool) for a in raw["nbrs"]
-        ):
+        if not isinstance(raw["nbrs"], list) or not all(map(_is_id, raw["nbrs"])):
             raise InstanceParseError(f"b_items[{idx}]: 'nbrs' must be a list of integers")
         items.append((raw["w"], raw["nbrs"]))
     return a_count, items
@@ -184,11 +175,6 @@ def _instance_of(a_count: int, items: list) -> WeightedBipartiteInstance:
         return WeightedBipartiteInstance(a_count, items)
     except ValueError as exc:
         raise InstanceParseError(str(exc)) from None
-
-
-def load_instance(path) -> WeightedBipartiteInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return WeightedBipartiteInstance.from_json(fh.read())
 
 
 def save_instance(inst: WeightedBipartiteInstance, path) -> None:
@@ -362,7 +348,8 @@ def reduce_instance(
     induced matching into B.  B is never modified.  Returns the reduced
     instance plus the map from reduced A-ids back to the originals.
     Raises ValueError on an instance with no items, where every A-id is
-    removable and nothing would survive.
+    removable and nothing would survive.  The selectors call _survivors;
+    this stays while perfbench traces it.
     """
     live = _survivors(inst)
     new_id = {old: new for new, old in enumerate(live)}
@@ -459,6 +446,8 @@ def select_randomized_dyadic(inst: WeightedBipartiteInstance, seed: int) -> Admi
     samples each A-id independently with probability 2^(-k-1), and keeps the
     closure.  Retries up to 64 fresh draws until the closure reaches an
     eighth of the chosen class, then returns the best attempt regardless.
+    No finder calls it; it stays because acceptance criterion 09 and the
+    README's reproduced results pin it.
     """
     nb = inst.b_count
     if nb == 0:

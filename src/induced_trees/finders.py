@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +50,8 @@ from .admissible import WeightedBipartiteInstance, select_uniform, select_weight
 from .graph import (
     Graph,
     _component_masks,
+    _is_finite_number,
+    _is_id,
     _iter_bits,
     _low_bit,
     _mask_of,
@@ -136,16 +137,6 @@ class TreeCertificate:
         if not isinstance(strategy, str):
             raise ValueError("certificate 'strategy' must be a string")
         return TreeCertificate(frozenset(vertices), root, float(bound), strategy)
-
-
-def _is_id(x) -> bool:
-    # bool is an int subclass, but `true` is not a vertex id.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite_number(x) -> bool:
-    # False for NaN and the infinities, and for ints too large for a float.
-    return (_is_id(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def certificate_failure(g: Graph, cert: TreeCertificate) -> Optional[str]:

@@ -20,6 +20,7 @@ timings).  tests/test_mask_kernel.py checks the rule.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -29,6 +30,17 @@ class EdgeListParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _is_id(x) -> bool:
+    """The one integer-id check, run by every JSON parser and by OracleBudget."""
+    # bool is an int subclass, but `true` is not an id.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    # False for NaN and the infinities, and for ints too large for a float.
+    return (_is_id(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _iter_bits(mask: int) -> list[int]:
@@ -272,26 +284,38 @@ def _first_clique(masks: Sequence[int], size: int, start: int = 0) -> Optional[t
     below `start`, or None.
 
     `masks` is per-vertex adjacency as bitmasks; works on raw masks so the
-    generators can call it on graphs under construction.
+    generators can call it on graphs under construction.  The search is
+    depth-first on an explicit stack, so a clique may be as large as the
+    graph, whatever the recursion limit: `cand` holds the vertices still
+    to try after `chosen`, each adjacent to all of it, and `above[d]` what
+    was left to try when `chosen[d]` was taken.
     """
-
-    def extend(cand: int, chosen: list[int], need: int) -> Optional[tuple[int, ...]]:
-        if need == 0:
-            return tuple(chosen)
-        while cand:
-            if cand.bit_count() < need:
-                return None
+    if size <= 0:  # no vertex to choose; a negative size has no clique
+        return () if size == 0 else None
+    chosen: list[int] = []
+    above: list[int] = []
+    cand = (1 << len(masks)) - (1 << start)
+    need = size
+    while True:
+        if cand.bit_count() >= need:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
-            chosen.append(v)
-            got = extend(cand & masks[v], chosen, need - 1)
-            if got is not None:
-                return got
+            if need == 1:
+                chosen.append(v)
+                return tuple(chosen)
+            inner = cand & masks[v]
+            # A search below v with too few candidates would back out at once.
+            if inner.bit_count() >= need - 1:
+                chosen.append(v)
+                above.append(cand)
+                cand, need = inner, need - 1
+        elif above:
+            cand = above.pop()
             chosen.pop()
-        return None
-
-    return extend((1 << len(masks)) - (1 << start), [], size)
+            need += 1
+        else:
+            return None
 
 
 def find_clique(g: Graph, r: int) -> Optional[frozenset[int]]:

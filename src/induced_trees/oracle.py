@@ -49,7 +49,7 @@ from .admissible import (
     _item_classes,
     closure_b,
 )
-from .graph import Graph, _iter_bits
+from .graph import Graph, _is_id, _iter_bits
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,6 +63,11 @@ class OracleBudget:
     time_limit: float = 60.0
 
     def __post_init__(self):
+        # `nan < 1` is false, so a NaN cap would pass the test below and never fire.
+        for name in ("max_vertices", "max_a_side"):
+            cap = getattr(self, name)
+            if not _is_id(cap):
+                raise ValueError(f"{name} must be an integer, got {cap!r}")
         if self.max_vertices < 1 or self.max_a_side < 1 or self.time_limit <= 0:
             raise ValueError("budget fields must be positive")
         # A NaN deadline compares false with every time, so it never fires.

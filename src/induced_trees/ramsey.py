@@ -7,12 +7,18 @@ the (a-1, b) subproblem and its non-neighborhood otherwise.  The allowed
 vertices form one bitmask over the host graph's adjacency masks, and the
 vertices taken on each branch collect in two more, so the extraction is a
 loop with no depth limit and no relabelled subgraph.
+
+The K_r-free finder calls the extraction on its neighbourhood bitmasks
+through `_independent_mask`; `independent_set_of_size` is the same call
+on a whole graph.  Only the independent branch is public: in a graph
+the caller asserts is K_r-free, a clique result is a counterexample and
+raises CliqueAssertionError.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .graph import Graph, _iter_bits
 
@@ -35,11 +41,6 @@ class CliqueAssertionError(RuntimeError):
         self.clique = clique
 
 
-class CliqueOrIndependent(NamedTuple):
-    kind: str
-    members: frozenset[int]
-
-
 def binomial_threshold(a: int, b: int) -> int:
     """C(a+b-2, a-1): vertices guaranteeing a size-a clique or size-b
     independent set.  Exact (arbitrary precision)."""
@@ -49,7 +50,10 @@ def binomial_threshold(a: int, b: int) -> int:
 
 
 def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> tuple[str, int]:
-    """(kind, members as a bitmask) for the vertices of the `allowed` bitmask."""
+    """(kind, members as a bitmask): a clique of size a or an independent
+    set of size b among the vertices of the `allowed` bitmask, which must
+    hold at least binomial_threshold(a, b) of them.  Each step inspects
+    one vertex's neighborhood and lowers a or b by one."""
     need = binomial_threshold(a, b)
     count = allowed.bit_count()
     if count < need:
@@ -72,16 +76,6 @@ def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> tuple[str, i
             independent |= low
             allowed, b = allowed ^ inside ^ low, b - 1
             assert allowed.bit_count() >= binomial_threshold(a, b)
-
-
-def clique_or_independent(g: Graph, a: int, b: int) -> CliqueOrIndependent:
-    """A clique of size >= a or an independent set of size >= b.
-
-    Requires |V| >= binomial_threshold(a, b).  Each step inspects one
-    vertex's neighborhood and lowers a or b by one.
-    """
-    kind, members = _extract(g.adjacency_masks, (1 << g.n) - 1, a, b)
-    return CliqueOrIndependent(kind, frozenset(_iter_bits(members)))
 
 
 def _independent_mask(masks: Sequence[int], region: int, r: int, b: int) -> int:

@@ -55,17 +55,22 @@ def mask_instance(rng, max_a=10, max_b=20):
     return WeightedBipartiteInstance(a, items)
 
 
+def items_of(inst, a):
+    """The ascending indices of the items that see A-id a."""
+    return [i for i, m in enumerate(inst.nbr_masks) if m >> a & 1]
+
+
 def restart_loop_survivors(inst):
     """reduce_instance's rule run literally: remove the smallest removable
     live A-id, then rescan from the start."""
     live = list(range(inst.a_count))
     degree = [len(item.nbrs) for item in inst.b_items]
     while True:
-        victim = next((a for a in live if all(degree[i] >= 2 for i in inst.items_of_a[a])), None)
+        victim = next((a for a in live if all(degree[i] >= 2 for i in items_of(inst, a))), None)
         if victim is None:
             return live
         live.remove(victim)
-        for i in inst.items_of_a[victim]:
+        for i in items_of(inst, victim):
             degree[i] -= 1
 
 
@@ -124,13 +129,6 @@ class TestInstanceValidation:
         inst = WeightedBipartiteInstance(a, items)
         assert WeightedBipartiteInstance.from_json(inst.to_json()) == inst
         assert inst.b_items == tuple(BItem(float(w), frozenset(n)) for w, n in items)
-        assert inst.items_of_a == tuple(
-            tuple(i for i, (_, n) in enumerate(items) if x in n) for x in range(a)
-        )
-        for x in range(a):
-            assert inst.items_of_a[x] == tuple(
-                i for i, m in enumerate(inst.nbr_masks) if m >> x & 1
-            )
 
     @pytest.mark.parametrize("a_count", ["true", "false"])
     def test_boolean_a_count_rejected(self, a_count):
@@ -282,7 +280,7 @@ class TestReduce:
             degree = [len(item.nbrs) for item in reduced.b_items]
             assert all(d >= 1 for d in degree)
             for a in range(reduced.a_count):
-                assert any(degree[i] == 1 for i in reduced.items_of_a[a])
+                assert any(degree[i] == 1 for i in items_of(reduced, a))
 
     def test_no_items_is_an_error_naming_the_empty_b_side(self):
         with pytest.raises(ValueError, match="empty B side"):

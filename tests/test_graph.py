@@ -188,6 +188,11 @@ class TestHasClique:
             g = random_graph(rng.randint(1, 12), rng.random(), rng)
             assert has_clique(g, 3) == (not is_triangle_free(g))
 
+    def test_large_clique_needs_no_recursion_limit(self):
+        # One search level per clique vertex: 1050 levels, past the default
+        # recursion limit.
+        assert find_clique(complete_graph(1100), 1050) == frozenset(range(1050))
+
 
 class TestCachedAnswers:
     def test_each_answer_is_computed_once(self, monkeypatch):

@@ -221,6 +221,12 @@ class TestMaxInducedTree:
         with pytest.raises(ValueError, match="time_limit must be finite"):
             OracleBudget(time_limit=limit)
 
+    @pytest.mark.parametrize("field", ["max_vertices", "max_a_side"])
+    @pytest.mark.parametrize("cap", [math.nan, 2.5, True, 0])
+    def test_size_caps_must_be_positive_integers(self, field, cap):
+        with pytest.raises(ValueError, match=field if cap != 0 else "positive"):
+            OracleBudget(**{field: cap})
+
     def test_growth_matches_subset_filtering(self):
         rng = random.Random(6)
         for _ in range(25):

@@ -9,13 +9,12 @@ from induced_trees import (
     Graph,
     RamseyPreconditionError,
     binomial_threshold,
-    clique_or_independent,
     independent_set_of_size,
     induced_subgraph,
 )
 from induced_trees.generators import random_kr_free
 from induced_trees.graph import _iter_bits
-from induced_trees.ramsey import _independent_mask
+from induced_trees.ramsey import _extract, _independent_mask
 
 
 def complete_graph(n):
@@ -26,12 +25,18 @@ def complete_bipartite(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def check_result(g, res):
-    members = sorted(res.members)
+def extract(g, a, b):
+    """The extraction over all of g, as (kind, set of members)."""
+    kind, members = _extract(g.adjacency_masks, (1 << g.n) - 1, a, b)
+    return kind, frozenset(_iter_bits(members))
+
+
+def check_result(g, kind, members):
+    members = sorted(members)
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             adjacent = g.has_edge(members[i], members[j])
-            assert adjacent == (res.kind == "clique")
+            assert adjacent == (kind == "clique")
 
 
 class TestBinomialThreshold:
@@ -52,25 +57,23 @@ class TestBinomialThreshold:
 
 class TestCliqueOrIndependent:
     def test_k6_yields_clique(self):
-        res = clique_or_independent(complete_graph(6), 3, 3)
-        assert res.kind == "clique" and len(res.members) >= 3
-        check_result(complete_graph(6), res)
+        kind, members = extract(complete_graph(6), 3, 3)
+        assert kind == "clique" and len(members) >= 3
+        check_result(complete_graph(6), kind, members)
 
     def test_empty_graph_yields_independent(self):
-        res = clique_or_independent(Graph(6), 3, 3)
-        assert res.kind == "independent" and len(res.members) >= 3
+        kind, members = extract(Graph(6), 3, 3)
+        assert kind == "independent" and len(members) >= 3
 
     def test_c5_plus_isolated_vertex(self):
         # C5 is triangle-free with independence number 2; the extra isolated
         # vertex pushes the independent side to 3
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        res = clique_or_independent(g, 3, 3)
-        assert res.kind == "independent"
-        assert res.members == frozenset({0, 2, 5})
+        assert extract(g, 3, 3) == ("independent", frozenset({0, 2, 5}))
 
     def test_below_threshold_rejected(self):
         with pytest.raises(RamseyPreconditionError, match="threshold"):
-            clique_or_independent(Graph(5), 3, 3)
+            extract(Graph(5), 3, 3)
 
     def test_exhaustive_small_parameters(self):
         # on exactly threshold-many vertices the recursion must always land
@@ -88,17 +91,15 @@ class TestCliqueOrIndependent:
                             if rng.random() < rng.choice([0.2, 0.5, 0.8])
                         ],
                     )
-                    res = clique_or_independent(g, a, b)
-                    needed = a if res.kind == "clique" else b
-                    assert len(res.members) >= needed
-                    check_result(g, res)
+                    kind, members = extract(g, a, b)
+                    assert len(members) >= (a if kind == "clique" else b)
+                    check_result(g, kind, members)
 
 
     def test_long_extraction_needs_no_recursion_limit(self):
         # The threshold C(1500, 1) = 1500 is met, and every step takes the
         # independent branch: 1499 steps, past the default recursion limit.
-        res = clique_or_independent(Graph(1500), 2, 1500)
-        assert res == ("independent", frozenset(range(1500)))
+        assert extract(Graph(1500), 2, 1500) == ("independent", frozenset(range(1500)))
 
 
 class TestIndependentSetOfSize:
