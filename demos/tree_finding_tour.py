@@ -70,9 +70,9 @@ def reroute_tour():
         g = random_kr_free(n, n + 1, rng.uniform(0.2, 0.5), rng.randrange(2 ** 32))
         size, witness = max_induced_tree_exact(g)
         base = TreeCertificate(witness, min(witness), float(size))
-        worst = min(
-            reroute_through_vertex(g, base, v).size for v in range(g.n)
-        )
+        certs = [reroute_through_vertex(g, base, v) for v in range(g.n)]
+        assert all(verify_certificate(g, c) and c.size >= 1 + size / 2 for c in certs)
+        worst = min(c.size for c in certs)
         if shown < 5:
             print(f"n={n:>2}: t(G)={size}, reroute keeps >= {1 + size/2:.1f}, worst {worst}")
             shown += 1

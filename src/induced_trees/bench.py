@@ -104,21 +104,12 @@ def _sample_roots(n: int) -> list[int]:
 
 def _row(suite, instance, algorithm, n, r, check, *args, relation: str = ">=") -> dict:
     """Time check(*args), which returns (required, achieved, verified), into
-    one row."""
+    one row keyed by ROW_FIELDS."""
     started = time.monotonic()
     required, achieved, verified = check(*args)
-    return {
-        "suite": suite,
-        "instance": instance,
-        "algorithm": algorithm,
-        "n": n,
-        "r": r,
-        "relation": relation,
-        "bound_required": required,
-        "bound_achieved": achieved,
-        "verified": verified,
-        "wall_time_ms": int((time.monotonic() - started) * 1000),
-    }
+    elapsed_ms = int((time.monotonic() - started) * 1000)
+    values = (suite, instance, algorithm, n, r, relation, required, achieved, verified, elapsed_ms)
+    return dict(zip(ROW_FIELDS, values, strict=True))
 
 
 def _worst_over_roots(g: Graph, roots, required: float, certify) -> tuple:
@@ -262,6 +253,9 @@ SUITES = tuple(_RUNNERS)
 def run_suite(suite: str, seed: int, count: Optional[int] = None) -> list[dict]:
     if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
+    # A count of 0 would drop every ensemble row and still report success.
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     started = time.monotonic()
     rows = _RUNNERS[suite](seed, count)
     log.info("suite %s: %d rows in %.1fs", suite, len(rows), time.monotonic() - started)

@@ -21,7 +21,8 @@ Three constructions:
 find_tree(g, v, r) picks between the first two by r; theorem_bound(n, r)
 is the size they guarantee.  Both run one loop, _grow, over a stack of
 pending (region, root) subproblems, so no chain is too long for the
-interpreter's recursion limit; a one-level step (_tf or _kr) gets each
+interpreter's recursion limit, and builds their certificate, so the
+claimed bound is written once; a one-level step (_tf or _kr) gets each
 region with its vertex count, fixes some tree vertices of it and returns
 the subproblems it leaves.  A step splits what is left of its region by
 searches seeded next to the root's neighbourhood (graph._component_masks),
@@ -182,15 +183,13 @@ def theorem_bound(n: int, r: int) -> float:
     return math.log(n) / (4.0 * math.log(r)) if n >= 2 else 0.0
 
 
-def _check_input(g: Graph, v: int, r: int = 3, r_min: int = 3) -> None:
+def _check_input(g: Graph, v: int) -> None:
     """The finders' shared preconditions, in order: nonempty graph, root in
-    range, r >= r_min, connectivity."""
+    range, connectivity."""
     if g.n == 0:
         raise ValueError("empty graph")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    if r < r_min:
-        raise ValueError(f"r must be >= {r_min}")
     if not is_connected(g):
         raise FinderPreconditionError("graph is disconnected", witness=components_of(g)[0])
 
@@ -226,14 +225,15 @@ def _select_attached(masks, nv_mask: int, comp_masks: list[int], select) -> dict
     return {i: a_list[m.bit_length() - 1] for i, m in only.items()}
 
 
-def _grow(g: Graph, v: int, step, *args) -> tuple[frozenset[int], str]:
+def _grow(g: Graph, v: int, r: int, step, *args) -> TreeCertificate:
     """The decomposition loop both finders share.  Pending (region, root)
     subproblems wait on a stack, starting with the whole graph at v; a region
     of at most 2 vertices is taken whole, any other goes to `step(g, region,
     size, root, *args)` with its vertex count `size`, counted once here;
     the step returns the tree vertices it fixes (a bitmask), its strategy
-    and its subproblems.  Returns the union of the fixed vertices and the
-    first step's strategy."""
+    and its subproblems.  Returns the certificate of the union of the fixed
+    vertices, rooted at v, with the first step's strategy; its claimed bound,
+    theorem_bound(n - 1, r) + 1, is written only here."""
     tree, top = 0, None
     stack = [((1 << g.n) - 1, v)]
     while stack:
@@ -246,7 +246,8 @@ def _grow(g: Graph, v: int, step, *args) -> tuple[frozenset[int], str]:
         tree |= fixed
         top = top or strategy
         stack.extend(subproblems)
-    return frozenset(_iter_bits(tree)), top
+    bound = theorem_bound(g.n - 1, r) + 1.0
+    return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
 
 
 def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
@@ -258,8 +259,7 @@ def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
         raise FinderPreconditionError(
             f"graph contains triangle {triangle}", witness=triangle
         )
-    verts, strategy = _grow(g, v, _tf)
-    return TreeCertificate(verts, v, theorem_bound(g.n - 1, 3) + 1.0, strategy)
+    return _grow(g, v, 3, _tf)
 
 
 def _tf(g: Graph, region: int, size: int, v: int) -> tuple[int, str, list[tuple[int, int]]]:
@@ -282,14 +282,15 @@ def _tf(g: Graph, region: int, size: int, v: int) -> tuple[int, str, list[tuple[
 def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
     """Induced tree of size >= ln(|V|-1)/(4 ln r) + 1 containing v, in a
     connected graph with no clique of size r (r >= 4)."""
-    _check_input(g, v, r, r_min=4)
+    if r < 4:
+        raise ValueError("r must be >= 4")
+    _check_input(g, v)
     clique = find_clique(g, r)
     if clique is not None:
         raise FinderPreconditionError(
             f"graph contains a clique of size {r}: {sorted(clique)}", witness=clique
         )
-    verts, strategy = _grow(g, v, _kr, r)
-    return TreeCertificate(verts, v, theorem_bound(g.n - 1, r) + 1.0, strategy)
+    return _grow(g, v, r, _kr, r)
 
 
 def _choose_branch_pair(

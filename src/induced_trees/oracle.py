@@ -49,7 +49,7 @@ from .admissible import (
     _item_classes,
     closure_b,
 )
-from .graph import Graph, _is_id, _iter_bits
+from .graph import Graph, _is_finite_number, _is_id, _iter_bits
 
 
 class BudgetExceededError(RuntimeError):
@@ -68,11 +68,11 @@ class OracleBudget:
             cap = getattr(self, name)
             if not _is_id(cap):
                 raise ValueError(f"{name} must be an integer, got {cap!r}")
+        # A NaN deadline compares false with every time, so it never fires.
+        if not _is_finite_number(self.time_limit):
+            raise ValueError(f"time_limit must be finite, got {self.time_limit!r}")
         if self.max_vertices < 1 or self.max_a_side < 1 or self.time_limit <= 0:
             raise ValueError("budget fields must be positive")
-        # A NaN deadline compares false with every time, so it never fires.
-        if not math.isfinite(self.time_limit):
-            raise ValueError(f"time_limit must be finite, got {self.time_limit}")
 
 
 def _clique_cover_size(masks: tuple[int, ...], vertices: int) -> int:

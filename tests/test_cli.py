@@ -87,6 +87,12 @@ class TestFind:
         assert code == 0
         assert json.loads(out)["bound_achieved"] == 1
 
+    def test_root_out_of_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ms3.txt"
+        save_edge_list(ms_layered(3), path)
+        code, out, err = run(capsys, "find", str(path), "--root", "99")
+        assert code == 2 and out == "" and "vertex 99 out of range" in err
+
     def test_parse_error_is_line_numbered(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2 1\n0 0\n")
@@ -309,6 +315,27 @@ class TestVerify:
         assert code == 2 and out == "" and f"'{field}'" in err
 
 
+    @pytest.mark.parametrize("vertices", [[-1], [9], [10**30], []])
+    def test_hostile_vertices_are_not_a_tree(self, tmp_path, capsys, vertices):
+        gpath = tmp_path / "ms3.txt"
+        save_edge_list(ms_layered(3), gpath)
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(json.dumps({"root": 0, "vertices": vertices, "claimed_bound": 1.0}))
+        code, out, _ = run(capsys, "verify", str(gpath), str(cpath))
+        assert code == 1 and json.loads(out) == {"reason": "not-induced-tree", "valid": False}
+
+    @pytest.mark.parametrize(
+        "payload, message", [([], "must be a JSON object"), ({"root": 0}, "missing 'vertices'")]
+    )
+    def test_certificate_shape_is_usage_error(self, tmp_path, capsys, payload, message):
+        gpath = tmp_path / "ms3.txt"
+        save_edge_list(ms_layered(3), gpath)
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(gpath), str(cpath))
+        assert code == 2 and out == "" and message in err
+
+
 class TestInternalFailure:
     @pytest.fixture
     def finder_raising(self, tmp_path, monkeypatch):
@@ -396,6 +423,15 @@ class TestBench:
         assert row["bound_achieved"] == row["bound_required"] and row["verified"]
         min_slack = bench.summarize([row])["min_slack"]
         assert min_slack == 0.0 and math.copysign(1, min_slack) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        # A count of 0 used to drop every ensemble row and exit 0.
+        code, out, err = run(
+            capsys, "bench", "claim", "--count", count, "--out", str(tmp_path / "claim")
+        )
+        assert code == 2 and out == "" and "count must be >= 1" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

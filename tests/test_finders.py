@@ -18,6 +18,7 @@ from induced_trees import (
     find_tree_kr_free,
     find_tree_triangle_free,
     finders,
+    graph,
     max_induced_tree_exact,
     reroute_through_vertex,
     shortest_path,
@@ -123,6 +124,11 @@ class TestKrFreeFinder:
     def test_r_below_four_rejected(self):
         with pytest.raises(ValueError):
             find_tree_kr_free(path_graph(3), 0, 3)
+
+    def test_r_is_checked_before_the_graph(self):
+        # As in find_tree, a call wrong in two ways reports r first.
+        with pytest.raises(ValueError, match="r must be >= 4"):
+            find_tree_kr_free(Graph(0), 5, 3)
 
     def test_random_ensemble_sound_and_bounded(self):
         rng = random.Random(16)
@@ -348,6 +354,11 @@ class TestTheoremBoundAndDispatch:
         with pytest.raises(ValueError, match="r must be >= 3"):
             find_tree(path_graph(3), 0, 2)
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_empty_graph_rejected(self, r):
+        with pytest.raises(ValueError, match="empty graph"):
+            find_tree(Graph(0), 0, r)
+
 
 class TestFindLargeTree:
     def test_tree_input_returns_whole_graph(self):
@@ -374,6 +385,29 @@ class TestFindLargeTree:
     def test_single_vertex(self):
         cert = find_large_tree(Graph(1))
         assert cert.vertices == frozenset({0})
+
+    def test_a_triangle_free_graph_is_scanned_once(self, monkeypatch):
+        # The r loop's find_clique(g, 3) and the triangle-free finder's
+        # precondition share one cached scan: one union test per vertex in
+        # find_triangle, and no clique search of size 3.
+        g = ms_layered(4)
+        scans = []
+        union, first_clique = graph._neighbour_union, graph._first_clique
+
+        def counting_union(masks, vertex_mask):
+            if sys._getframe(1).f_code is graph.find_triangle.__code__:
+                scans.append("union test")
+            return union(masks, vertex_mask)
+
+        def counting_first_clique(masks, size, start=0):
+            if size == 3:
+                scans.append("clique search")
+            return first_clique(masks, size, start)
+
+        monkeypatch.setattr(graph, "_neighbour_union", counting_union)
+        monkeypatch.setattr(graph, "_first_clique", counting_first_clique)
+        assert verify_certificate(g, find_large_tree(g))
+        assert scans == ["union test"] * g.n
 
 
 def test_each_selection_builds_one_instance(monkeypatch):

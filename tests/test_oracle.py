@@ -216,9 +216,14 @@ class TestMaxInducedTree:
                 g, OracleBudget(max_vertices=30, time_limit=1e-9)
             )
 
-    @pytest.mark.parametrize("limit", [math.nan, math.inf])
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf, True, "5", None])
     def test_non_finite_time_limit_is_rejected(self, limit):
         with pytest.raises(ValueError, match="time_limit must be finite"):
+            OracleBudget(time_limit=limit)
+
+    @pytest.mark.parametrize("limit", [0, 0.0, -1.5])
+    def test_non_positive_time_limit_is_rejected(self, limit):
+        with pytest.raises(ValueError, match="budget fields must be positive"):
             OracleBudget(time_limit=limit)
 
     @pytest.mark.parametrize("field", ["max_vertices", "max_a_side"])
