@@ -314,7 +314,6 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(gpath), str(cpath))
         assert code == 2 and out == "" and f"'{field}'" in err
 
-
     @pytest.mark.parametrize("vertices", [[-1], [9], [10**30], []])
     def test_hostile_vertices_are_not_a_tree(self, tmp_path, capsys, vertices):
         gpath = tmp_path / "ms3.txt"
