@@ -1,132 +1,21 @@
 """Induced trees in clique-free graphs: guaranteed-size tree finders with
 verifiable certificates, the admissible-selection machinery behind them,
 extremal constructions, and exact brute-force oracles for desk-scale
-cross-validation."""
+cross-validation.
 
-from .admissible import (
-    AdmissibleSelection,
-    BItem,
-    ExhaustionLimitError,
-    InstanceParseError,
-    LemmaViolationError,
-    WeightedBipartiteInstance,
-    closure_b,
-    reduce_instance,
-    save_instance,
-    select_randomized_dyadic,
-    select_uniform,
-    select_weighted,
-    solve_exact,
-)
-from .finders import (
-    FinderPreconditionError,
-    InternalInvariantError,
-    TreeCertificate,
-    certificate_failure,
-    find_large_tree,
-    find_tree,
-    find_tree_kr_free,
-    find_tree_triangle_free,
-    reroute_through_vertex,
-    theorem_bound,
-    verify_certificate,
-)
-from .generators import (
-    alpha_counterexample,
-    dyadic_bipartite,
-    line_graph_balanced_tree,
-    ms_layered,
-    ms_through_vertex,
-    random_kr_free,
-    random_triangle_free,
-)
-from .graph import (
-    EdgeListParseError,
-    Graph,
-    components_of,
-    find_clique,
-    find_triangle,
-    format_edge_list,
-    has_clique,
-    induced_subgraph,
-    is_connected,
-    is_induced_tree,
-    is_triangle_free,
-    load_edge_list,
-    parse_edge_list,
-    save_edge_list,
-    shortest_path,
-)
-from .oracle import (
-    BudgetExceededError,
-    OracleBudget,
-    admissible_naive,
-    max_induced_tree_exact,
-    max_tree_through_vertex_exact,
-)
-from .ramsey import (
-    CliqueAssertionError,
-    RamseyPreconditionError,
-    binomial_threshold,
-    independent_set_of_size,
-)
+Each module's `__all__` declares its public names; this package re-exports
+them all."""
+
+from .admissible import *
+from .finders import *
+from .generators import *
+from .graph import *
+from .oracle import *
+from .ramsey import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibleSelection",
-    "BItem",
-    "BudgetExceededError",
-    "CliqueAssertionError",
-    "EdgeListParseError",
-    "ExhaustionLimitError",
-    "FinderPreconditionError",
-    "Graph",
-    "InstanceParseError",
-    "InternalInvariantError",
-    "LemmaViolationError",
-    "OracleBudget",
-    "RamseyPreconditionError",
-    "TreeCertificate",
-    "WeightedBipartiteInstance",
-    "admissible_naive",
-    "alpha_counterexample",
-    "binomial_threshold",
-    "certificate_failure",
-    "closure_b",
-    "components_of",
-    "dyadic_bipartite",
-    "find_clique",
-    "find_large_tree",
-    "find_tree",
-    "find_tree_kr_free",
-    "find_tree_triangle_free",
-    "find_triangle",
-    "format_edge_list",
-    "has_clique",
-    "independent_set_of_size",
-    "induced_subgraph",
-    "is_connected",
-    "is_induced_tree",
-    "is_triangle_free",
-    "line_graph_balanced_tree",
-    "load_edge_list",
-    "max_induced_tree_exact",
-    "max_tree_through_vertex_exact",
-    "ms_layered",
-    "ms_through_vertex",
-    "parse_edge_list",
-    "random_kr_free",
-    "random_triangle_free",
-    "reduce_instance",
-    "reroute_through_vertex",
-    "save_edge_list",
-    "save_instance",
-    "select_randomized_dyadic",
-    "select_uniform",
-    "select_weighted",
-    "shortest_path",
-    "solve_exact",
-    "theorem_bound",
-    "verify_certificate",
-]
+__all__ = sorted(
+    admissible.__all__ + finders.__all__ + generators.__all__
+    + graph.__all__ + oracle.__all__ + ramsey.__all__
+)

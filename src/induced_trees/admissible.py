@@ -32,6 +32,22 @@ from typing import Iterable, NamedTuple, Optional
 
 from .graph import _is_id, _iter_bits, _mask_of
 
+__all__ = [
+    "AdmissibleSelection",
+    "BItem",
+    "ExhaustionLimitError",
+    "InstanceParseError",
+    "LemmaViolationError",
+    "WeightedBipartiteInstance",
+    "closure_b",
+    "reduce_instance",
+    "save_instance",
+    "select_randomized_dyadic",
+    "select_uniform",
+    "select_weighted",
+    "solve_exact",
+]
+
 DEFAULT_EXHAUSTION_LIMIT = 24
 
 # Absolute slack on the selection guarantees; they are exact over the

@@ -51,7 +51,7 @@ INSTANCE_GENERATORS = {
 
 def _configure_logging() -> None:
     level_name = os.environ.get("INDUCED_TREE_LOG", "").lower()
-    levels = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}
+    levels = {"debug": logging.DEBUG, "info": logging.INFO}
     if level_name in levels:
         logging.basicConfig(
             level=levels[level_name], format="%(levelname)s %(name)s: %(message)s"

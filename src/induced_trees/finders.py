@@ -66,6 +66,20 @@ from .graph import (
 )
 from .ramsey import _independent_mask
 
+__all__ = [
+    "FinderPreconditionError",
+    "InternalInvariantError",
+    "TreeCertificate",
+    "certificate_failure",
+    "find_large_tree",
+    "find_tree",
+    "find_tree_kr_free",
+    "find_tree_triangle_free",
+    "reroute_through_vertex",
+    "theorem_bound",
+    "verify_certificate",
+]
+
 log = logging.getLogger(__name__)
 
 # Slack for comparing integer sizes against sqrt/log bounds.

@@ -15,6 +15,16 @@ import random
 from .admissible import WeightedBipartiteInstance
 from .graph import Graph, _component_masks, _first_clique, _iter_edges, _low_bit
 
+__all__ = [
+    "alpha_counterexample",
+    "dyadic_bipartite",
+    "line_graph_balanced_tree",
+    "ms_layered",
+    "ms_through_vertex",
+    "random_kr_free",
+    "random_triangle_free",
+]
+
 
 def _layered_complete(part_sizes: list[int]) -> Graph:
     """Chain of parts where consecutive parts induce complete bipartite

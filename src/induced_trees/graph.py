@@ -20,8 +20,27 @@ timings).  tests/test_mask_kernel.py checks the rule.
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
+
+__all__ = [
+    "EdgeListParseError",
+    "Graph",
+    "components_of",
+    "find_clique",
+    "find_triangle",
+    "format_edge_list",
+    "has_clique",
+    "induced_subgraph",
+    "is_connected",
+    "is_induced_tree",
+    "is_triangle_free",
+    "load_edge_list",
+    "parse_edge_list",
+    "save_edge_list",
+    "shortest_path",
+]
 
 
 class EdgeListParseError(ValueError):
@@ -403,6 +422,17 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A count or id is ASCII digits with an optional leading '-'; int() alone
+# also reads '1_0', '+3' and non-ASCII digits such as '٣'.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def edge_list_header(text: str) -> tuple[int, int]:
     """The '<n> <m>' counts of edge-list text, read from its first line
     alone, so a caller can bound n before the n masks are allocated."""
@@ -412,7 +442,7 @@ def edge_list_header(text: str) -> tuple[int, int]:
     if len(header) != 2:
         raise EdgeListParseError(1, "header must be '<n> <m>'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _decimal(header[0]), _decimal(header[1])
     except ValueError:
         raise EdgeListParseError(1, "header must contain two integers") from None
     if n < 0 or m < 0:
@@ -434,6 +464,9 @@ def parse_edge_list(text: str) -> Graph:
     if found > m:
         raise EdgeListParseError(m + 2, f"expected {m} edge lines, found {found}")
     line_no = 1
+    # In ASCII text without '_' or '+', int() reads exactly the decimal
+    # tokens; this one test spares a clean file the per-token check.
+    to_int = int if text.isascii() and "_" not in text and "+" not in text else _decimal
 
     def pairs() -> Iterator[tuple[int, int]]:
         nonlocal line_no
@@ -442,7 +475,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2:
                 raise ValueError("edge line must be '<u> <v>'")
             try:
-                u, v = int(tokens[0]), int(tokens[1])
+                u, v = to_int(tokens[0]), to_int(tokens[1])
             except ValueError:
                 raise ValueError("edge endpoints must be integers") from None
             yield u, v

@@ -51,6 +51,14 @@ from .admissible import (
 )
 from .graph import Graph, _is_finite_number, _is_id, _iter_bits
 
+__all__ = [
+    "BudgetExceededError",
+    "OracleBudget",
+    "admissible_naive",
+    "max_induced_tree_exact",
+    "max_tree_through_vertex_exact",
+]
+
 
 class BudgetExceededError(RuntimeError):
     """Instance too large for the oracle budget, or the time limit hit."""

@@ -22,6 +22,13 @@ from typing import Sequence
 
 from .graph import Graph, _iter_bits
 
+__all__ = [
+    "CliqueAssertionError",
+    "RamseyPreconditionError",
+    "binomial_threshold",
+    "independent_set_of_size",
+]
+
 CLIQUE = "clique"
 INDEPENDENT = "independent"
 

@@ -136,12 +136,11 @@ def test_criterion_06_solver_equivalence():
     for _, inst in instance_ensemble(SEED + 100, 200, max_a=12):
         naive = admissible_naive(inst, alpha=0.5, budget=OracleBudget(max_a_side=12))
         exact = solve_exact(inst, alpha=0.5)
-        assert math.isclose(naive.value, exact.value, rel_tol=1e-12, abs_tol=1e-12), (
-            count, naive.value, exact.value,
-        )
+        # Values only: the two solvers may pick different tied selections.
+        assert naive.value == exact.value, (count, naive.value, exact.value)
         count += 1
     elapsed = time.monotonic() - started
-    report(6, True, f"solve_exact == naive enumeration on {count} instances (1e-12 relative)", elapsed, 60)
+    report(6, True, f"solve_exact == naive enumeration on {count} instances (exactly)", elapsed, 60)
 
 
 def test_criterion_07_uniform_selection_and_dyadic_tightness():

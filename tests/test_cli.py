@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import induced_trees
 from induced_trees import (
     Graph,
     InternalInvariantError,
     TreeCertificate,
+    WeightedBipartiteInstance,
+    dyadic_bipartite,
     finders,
     load_edge_list,
     save_edge_list,
@@ -53,6 +59,15 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "ms-layered", "--m", "2")
         assert code == 0
         assert out.startswith("4 4\n")
+
+    def test_ms_through_vertex_names_its_root(self, capsys):
+        code, _, err = run(capsys, "gen", "ms-through-vertex", "--m", "3")
+        assert code == 0 and err.endswith("distinguished root vertex: 0\n")
+
+    def test_instance_json_to_stdout_when_no_out(self, capsys):
+        code, out, _ = run(capsys, "gen", "dyadic", "--k", "2")
+        assert code == 0
+        assert WeightedBipartiteInstance.from_json(out) == dyadic_bipartite(2)
 
 
 class TestFind:
@@ -335,6 +350,17 @@ class TestVerify:
         assert code == 2 and out == "" and message in err
 
 
+    @pytest.mark.parametrize("token", ["\u0662", "+2", "0_2"])
+    def test_ids_must_be_ascii_decimals(self, tmp_path, capsys, token):
+        gpath = tmp_path / "p3.txt"
+        gpath.write_text(f"3 2\n0 1\n1 {token}\n", encoding="utf-8")
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(TreeCertificate(frozenset({0, 1, 2}), 0, 1.0).to_json())
+        for argv in (["find", str(gpath), "--root", "0"], ["verify", str(gpath), str(cpath)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "line 3: edge endpoints must be integers" in err
+
 class TestInternalFailure:
     @pytest.fixture
     def finder_raising(self, tmp_path, monkeypatch):
@@ -363,6 +389,28 @@ class TestInternalFailure:
     def test_base_exceptions_are_not_caught(self, finder_raising):
         with pytest.raises(KeyboardInterrupt):
             main(["find", finder_raising(KeyboardInterrupt()), "--root", "0"])
+
+    def test_debug_log_holds_the_traceback(self, tmp_path):
+        # A fresh interpreter: pytest's log capture puts handlers on the root
+        # logger, so basicConfig would configure nothing in this process.
+        path = tmp_path / "g.txt"
+        save_edge_list(ms_layered(3), path)
+        script = (
+            "import sys\n"
+            "from induced_trees import cli, finders\n"
+            "def broken(g, v):\n"
+            "    raise RuntimeError('boom')\n"
+            "finders.find_tree_triangle_free = broken\n"
+            f"sys.exit(cli.main(['find', {str(path)!r}, '--root', '0']))\n"
+        )
+        src = str(Path(induced_trees.__file__).parents[1])
+        env = {**os.environ, "INDUCED_TREE_LOG": "debug", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "DEBUG induced_trees.cli: internal failure\nTraceback" in proc.stderr
+        assert proc.stderr.endswith("RuntimeError: boom\nerror: internal failure: RuntimeError: boom\n")
 
     def test_unreadable_graph_path_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "find", str(tmp_path), "--root", "0")

@@ -309,6 +309,9 @@ class TestEdgeListFormat:
             ("3 3\n0 1\nx y\n1 0\n", "line 3: edge endpoints must be integers"),
             ("3 2\n0 3\n1 1\n", "line 2: edge (0, 3) out of range for n=3"),
             ("3 2\n0 1\n2\n", "line 3: edge line must be '<u> <v>'"),
+            ("3 3\n0 1\n1 +0\n0 1\n", "line 3: edge endpoints must be integers"),
+            ("11 1\n\u0663 1_0\n", "line 2: edge endpoints must be integers"),
+            ("3 2\n-1 2\n\u0663 1\n", "line 2: edge (-1, 2) out of range for n=3"),
         ],
     )
     def test_first_faulty_line_wins(self, text, line):
@@ -326,6 +329,9 @@ class TestEdgeListFormat:
             ("\n\n", "line 1: missing '<n> <m>' header"),
             (" \n", "line 1: header must be '<n> <m>'"),
             ("3 x\n", "line 1: header must contain two integers"),
+            ("+3 0\n", "line 1: header must contain two integers"),
+            ("1_1 1\n\u0663 1_0\n", "line 1: header must contain two integers"),
+            ("3 \u0660\n", "line 1: header must contain two integers"),
             ("-1 0\n", "line 1: header counts must be nonnegative"),
         ],
     )

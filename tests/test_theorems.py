@@ -1,5 +1,5 @@
-"""Both theorems as drawn properties: on connected triangle-free and
-K_4-free graphs, built with plain sets rather than the package's
+"""Both theorems as drawn properties: on connected triangle-free, K_4-free
+and K_5-free graphs, built with plain sets rather than the package's
 generators, the finder's certificate at every root passes the verdict
 `find` and `bench` report against theorem_bound(n, r)."""
 
@@ -29,22 +29,25 @@ def _lowest_vertices_of_components(nbrs):
     return lows
 
 
+def _holds_clique(nbrs, within, size):
+    return size == 0 or any(_holds_clique(nbrs, within & nbrs[x], size - 1) for x in within)
+
+
 @st.composite
 def connected_kr_free(draw):
-    """(r, g) for r = 3 or 4: a drawn edge is kept only if it closes no K_r,
-    that is, if the common neighbourhood of its ends is empty (r = 3) or
-    holds no edge (r = 4).  Each later component is then joined to vertex 0
-    by its lowest vertex; their neighbourhoods are disjoint, so such an
-    edge closes nothing."""
-    r = draw(st.sampled_from([3, 4]))
+    """(r, g) for r = 3, 4 or 5: a drawn edge is kept only if it closes no
+    K_r, that is, if the common neighbourhood of its ends holds no K_{r-2}:
+    it is empty (r = 3), holds no edge (r = 4) or no triangle (r = 5).
+    Each later component is then joined to vertex 0 by its lowest vertex;
+    their neighbourhoods are disjoint, so such an edge closes nothing."""
+    r = draw(st.sampled_from([3, 4, 5]))
     n = draw(st.integers(2, 30))
     nbrs = [set() for _ in range(n)]
     vertex = st.integers(0, n - 1)
     for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
         if u == v or v in nbrs[u]:
             continue
-        common = nbrs[u] & nbrs[v]
-        if common if r == 3 else any(nbrs[x] & common for x in common):
+        if _holds_clique(nbrs, nbrs[u] & nbrs[v], r - 2):
             continue
         nbrs[u].add(v)
         nbrs[v].add(u)
