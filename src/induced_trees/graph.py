@@ -103,14 +103,33 @@ def _iter_edges(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield u, u + 1 + v
 
 
-def _reach(masks: Sequence[int], seed: int, region: int) -> int:
-    """Bitmask of the vertices reachable from `seed`, a bitmask of region
-    vertices, inside `region`."""
+def _reach(masks: Sequence[int], seed: int, region: int) -> tuple[int, int]:
+    """The vertices reachable from `seed`, a bitmask of region vertices,
+    inside `region`, and those of them with a neighbour in their own BFS
+    layer, as two bitmasks.  A layer's neighbour union is read anyway, so
+    the second costs one AND and one OR per layer."""
     visited = frontier = seed
+    marked = 0
     while frontier:
-        frontier = _neighbour_union(masks, frontier) & (region ^ visited)
+        nbrs = _neighbour_union(masks, frontier)
+        marked |= nbrs & frontier
+        frontier = nbrs & (region ^ visited)
         visited |= frontier
-    return visited
+    return visited, marked
+
+
+def _sweep_region(masks: Sequence[int], region: int) -> tuple[list[int], int]:
+    """One BFS per component of the `region` bitmask, lowest vertex first:
+    the components as bitmasks ordered by lowest set bit, and the union of
+    `_reach`'s marked vertices."""
+    comps: list[int] = []
+    marked = 0
+    while region:
+        comp, inner = _reach(masks, 1 << _low_bit(region), region)
+        comps.append(comp)
+        marked |= inner
+        region ^= comp
+    return comps, marked
 
 
 class Graph:
@@ -125,7 +144,7 @@ class Graph:
 
     # One slot per cached answer: a misspelt name raises instead of
     # silently missing the cache.
-    __slots__ = ("n", "edge_count", "adjacency_masks", "_connected", "_cliques")
+    __slots__ = ("n", "edge_count", "adjacency_masks", "_sweep", "_cliques")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -145,7 +164,7 @@ class Graph:
         self.n = n
         self.edge_count = count
         self.adjacency_masks: tuple[int, ...] = tuple(masks)
-        self._connected: Optional[bool] = None
+        self._sweep: Optional[tuple[bool, int]] = None
         self._cliques: dict[int, Optional[frozenset[int]]] = {}
 
     @property
@@ -182,14 +201,22 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _bfs_sweep(g: Graph) -> tuple[bool, int]:
+    """g's one BFS sweep over every component, run once and cached: whether
+    g has one component, and the bitmask of marked vertices, those with a
+    neighbour in their own BFS layer.  None is marked iff g is bipartite:
+    the layer parities 2-colour g exactly when no edge lies in a layer."""
+    if g._sweep is None:
+        comps, marked = _sweep_region(g.adjacency_masks, (1 << g.n) - 1)
+        g._sweep = (len(comps) == 1, marked)
+    return g._sweep
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one connected component (n >= 1 required)."""
     if g.n == 0:
         raise ValueError("empty graph: connectivity is undefined for n = 0")
-    if g._connected is None:
-        full = (1 << g.n) - 1
-        g._connected = _reach(g.adjacency_masks, 1, full) == full
-    return g._connected
+    return _bfs_sweep(g)[0]
 
 
 def _component_masks(
@@ -215,14 +242,9 @@ def _component_masks(
     the region (visited ⊆ region), so `region ^ visited` is what it has
     not reached yet.
     """
-    comps: list[int] = []
     if seeds is None:
-        remaining = region
-        while remaining:
-            comp = _reach(masks, 1 << _low_bit(remaining), remaining)
-            comps.append(comp)
-            remaining ^= comp
-        return comps
+        return _sweep_region(masks, region)[0]
+    comps: list[int] = []
     # (visited, frontier) per search; visited sets are disjoint between rounds.
     live = [(1 << s, 1 << s) for s in _iter_bits(seeds)]
     while len(live) > 1:
@@ -274,15 +296,22 @@ def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
     first edge (u, v), u < v, in sorted order with a common neighbor, and
     its smallest common neighbor, which is find_clique(g, 3).
 
-    One union test per u tells whether any such edge starts at u, so only
-    the first u that has one walks its edges.  This scan measured about
-    twice as fast as `_first_clique(masks, 3)` on large sparse graphs
-    (CHANGES.md holds the timings), so it is the one triangle search, and
-    its answer is find_clique's cache entry for size 3."""
+    A BFS edge joins one layer or two adjacent layers, so two of a
+    triangle's three vertices share a layer and are marked by the cached
+    sweep (`_bfs_sweep`), and the third is a neighbour of theirs.  A marked
+    vertex has a marked neighbour, so every triangle vertex sees a marked
+    vertex, and the ascending scan skips each u that sees none: it finds
+    the same first u, and on a bipartite graph, which marks none, reads no
+    mask.  One union test per scanned u tells whether any such edge starts
+    at u, so only the first u that has one walks its edges.  The answer is
+    find_clique's cache entry for size 3."""
     if 3 not in g._cliques:
         masks = g.adjacency_masks
+        marked = _bfs_sweep(g)[1]
         found = None
-        for u, mask in enumerate(masks):
+        for u, mask in enumerate(masks if marked else ()):
+            if not mask & marked:
+                continue
             above = mask >> (u + 1) << (u + 1)
             if _neighbour_union(masks, above) & mask:
                 v = next(v for v in _iter_bits(above) if masks[v] & mask)
@@ -343,7 +372,8 @@ def find_clique(g: Graph, r: int) -> Optional[frozenset[int]]:
     if r == 3:
         find_triangle(g)
     elif r not in g._cliques:
-        got = _first_clique(g.adjacency_masks, r)
+        # A sweep that marks no vertex proves g bipartite: no K_r for r >= 3.
+        got = _first_clique(g.adjacency_masks, r) if r < 3 or _bfs_sweep(g)[1] else None
         g._cliques[r] = frozenset(got) if got is not None else None
     return g._cliques[r]
 
@@ -367,7 +397,7 @@ def is_induced_tree(g: Graph, s: Iterable[int]) -> bool:
         twice_edges += (masks[v] & s_mask).bit_count()
     if twice_edges != 2 * (k - 1):
         return False
-    return _reach(masks, 1 << (s_mask.bit_length() - 1), s_mask) == s_mask
+    return _reach(masks, 1 << (s_mask.bit_length() - 1), s_mask)[0] == s_mask
 
 
 def shortest_path(g: Graph, start: int, to_set: Iterable[int]) -> list[int]:

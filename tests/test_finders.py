@@ -388,14 +388,21 @@ class TestFindLargeTree:
 
     def test_a_triangle_free_graph_is_scanned_once(self, monkeypatch):
         # The r loop's find_clique(g, 3) and the triangle-free finder's
-        # precondition share one cached scan: one union test per vertex in
-        # find_triangle, and no clique search of size 3.
+        # precondition share one cached answer, and the layered chain is
+        # bipartite: the one BFS sweep marks no vertex, so find_triangle
+        # makes no union test that reads a mask, and no clique search of
+        # size 3 runs.
         g = ms_layered(4)
         scans = []
-        union, first_clique = graph._neighbour_union, graph._first_clique
+        sweep, union = graph._sweep_region, graph._neighbour_union
+        first_clique = graph._first_clique
+
+        def counting_sweep(masks, region):
+            scans.append("sweep")
+            return sweep(masks, region)
 
         def counting_union(masks, vertex_mask):
-            if sys._getframe(1).f_code is graph.find_triangle.__code__:
+            if vertex_mask and sys._getframe(1).f_code is graph.find_triangle.__code__:
                 scans.append("union test")
             return union(masks, vertex_mask)
 
@@ -404,10 +411,11 @@ class TestFindLargeTree:
                 scans.append("clique search")
             return first_clique(masks, size, start)
 
+        monkeypatch.setattr(graph, "_sweep_region", counting_sweep)
         monkeypatch.setattr(graph, "_neighbour_union", counting_union)
         monkeypatch.setattr(graph, "_first_clique", counting_first_clique)
         assert verify_certificate(g, find_large_tree(g))
-        assert scans == ["union test"] * g.n
+        assert scans == ["sweep"]
 
 
 def test_each_selection_builds_one_instance(monkeypatch):

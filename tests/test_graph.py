@@ -9,6 +9,7 @@ from induced_trees import (
     Graph,
     components_of,
     find_clique,
+    find_tree,
     find_triangle,
     format_edge_list,
     has_clique,
@@ -18,6 +19,7 @@ from induced_trees import (
     is_triangle_free,
     parse_edge_list,
     shortest_path,
+    verify_certificate,
 )
 from induced_trees import graph
 from induced_trees.generators import line_graph_balanced_tree, ms_layered
@@ -207,6 +209,17 @@ class TestCachedAnswers:
     def test_a_misspelt_cache_slot_raises(self):
         with pytest.raises(AttributeError):
             path_graph(3)._conected = True
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_a_bipartite_graph_needs_no_clique_search(monkeypatch, r):
+    # The sweep marks no vertex of the layered chain, which proves it has no
+    # K_r for any r >= 3 before a clique search could start.
+    g = ms_layered(6)
+    monkeypatch.setattr(graph, "_first_clique", _never_called)
+    assert find_clique(g, r) is None
+    assert not has_clique(g, r)
+    assert verify_certificate(g, find_tree(g, 0, r))
 
 
 def _never_called(*args):

@@ -10,8 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_trees import Graph, find_triangle, is_induced_tree
-from induced_trees.graph import _component_masks, _first_clique, _iter_bits, _neighbour_union
+from induced_trees import Graph, find_clique, find_triangle, is_connected, is_induced_tree
+from induced_trees.generators import ms_layered
+from induced_trees.graph import (
+    _bfs_sweep,
+    _component_masks,
+    _first_clique,
+    _iter_bits,
+    _neighbour_union,
+)
+from test_component_search import CountingMasks, cycle_graph
 
 WIDTH = 4096
 
@@ -119,6 +127,87 @@ def ordered_triangle(g):
 def test_find_triangle_equals_the_ordered_brute_force(case):
     g, _ = case
     assert find_triangle(g) == ordered_triangle(g)
+
+
+def set_two_colouring(nbrs, n):
+    """True iff a BFS 2-colouring on sets leaves no edge inside a colour."""
+    colour = {}
+    for s in range(n):
+        if s in colour:
+            continue
+        colour[s], todo = 0, [s]
+        while todo:
+            x = todo.pop()
+            for y in nbrs[x]:
+                if y not in colour:
+                    colour[y] = 1 - colour[x]
+                    todo.append(y)
+                elif colour[y] == colour[x]:
+                    return False
+    return True
+
+
+@st.composite
+def compact_graphs(draw):
+    """A graph on ids 0..n-1, n <= 12, each pair an edge at a drawn rate,
+    and half the time with every edge that would close a triangle dropped:
+    the connected and odd-cycle triangle-free cases spread_graphs rarely
+    draws."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rate = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    triangle_free = draw(st.booleans())
+    nbrs = [set() for _ in range(n)]
+    for (u, v), x in zip(pairs, keep):
+        if x < rate and not (triangle_free and nbrs[u] & nbrs[v]):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return Graph(n, [(u, v) for u, v in pairs if v in nbrs[u]]), list(range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(spread_graphs(), compact_graphs()))
+def test_sweep_answers_connectivity_and_holds_every_triangle(case):
+    g, _ = case
+    nbrs = neighbour_sets(g)
+    connected, marked = _bfs_sweep(g)
+    reached, todo = {0}, [0]
+    while todo:
+        for y in nbrs[todo.pop()] - reached:
+            reached.add(y)
+            todo.append(y)
+    assert connected == (len(reached) == g.n)
+    assert (marked == 0) == set_two_colouring(nbrs, g.n)
+    scope = bits_of(marked)
+    scope |= set().union(*(nbrs[x] for x in scope))
+    for u in range(g.n):
+        for v in nbrs[u]:
+            for w in nbrs[u] & nbrs[v]:
+                assert {u, v, w} <= scope
+
+
+PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(7), cycle_graph(9), PETERSEN],
+                         ids=["C5", "C7", "C9", "Petersen"])
+def test_triangle_free_graphs_with_an_odd_cycle_are_marked(g):
+    assert _bfs_sweep(g)[1]
+    assert find_triangle(g) is None
+    assert find_clique(g, 4) is None
+
+
+def test_a_bipartite_chain_is_proved_triangle_free_by_the_sweep_alone():
+    # The sweep reads each of the n masks once; with no vertex marked, the
+    # triangle search reads none (a per-edge scan read 1,433 here).
+    g = ms_layered(12)
+    g.adjacency_masks = masks = CountingMasks(g.adjacency_masks)
+    assert is_connected(g)
+    assert find_triangle(g) is None
+    assert masks.reads <= 2 * g.n
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,13 +1,24 @@
 """Both theorems as drawn properties: on connected triangle-free, K_4-free
 and K_5-free graphs, built with plain sets rather than the package's
 generators, the finder's certificate at every root passes the verdict
-`find` and `bench` report against theorem_bound(n, r)."""
+`find` and `bench` report against theorem_bound(n, r).  On the small ones
+the certificates are also held against the exact maximum t(G)."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from induced_trees import Graph, find_clique, find_tree, find_triangle, theorem_bound
+from induced_trees import (
+    Graph,
+    TreeCertificate,
+    find_clique,
+    find_tree,
+    find_triangle,
+    max_induced_tree_exact,
+    reroute_through_vertex,
+    theorem_bound,
+    verify_certificate,
+)
 from induced_trees.finders import _report_failure
 from induced_trees.graph import _first_clique
 
@@ -34,17 +45,18 @@ def _holds_clique(nbrs, within, size):
 
 
 @st.composite
-def connected_kr_free(draw):
+def connected_kr_free(draw, max_n=30, min_pairs_per_vertex=0):
     """(r, g) for r = 3, 4 or 5: a drawn edge is kept only if it closes no
     K_r, that is, if the common neighbourhood of its ends holds no K_{r-2}:
     it is empty (r = 3), holds no edge (r = 4) or no triangle (r = 5).
     Each later component is then joined to vertex 0 by its lowest vertex;
     their neighbourhoods are disjoint, so such an edge closes nothing."""
     r = draw(st.sampled_from([3, 4, 5]))
-    n = draw(st.integers(2, 30))
+    n = draw(st.integers(2, max_n))
     nbrs = [set() for _ in range(n)]
     vertex = st.integers(0, n - 1)
-    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+    pairs = st.lists(st.tuples(vertex, vertex), min_size=min_pairs_per_vertex * n, max_size=3 * n)
+    for u, v in draw(pairs):
         if u == v or v in nbrs[u]:
             continue
         if _holds_clique(nbrs, nbrs[u] & nbrs[v], r - 2):
@@ -65,6 +77,23 @@ def test_every_root_meets_the_theorem(case):
     required = theorem_bound(g.n, r)
     for v in range(g.n):
         assert _report_failure(g, find_tree(g, v, r), v, required) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_kr_free(max_n=14, min_pairs_per_vertex=2))
+@example((3, PATH_5))
+def test_certificates_against_the_exact_maximum(case):
+    # No certificate beats t(G), and rerouting the oracle's maximum tree
+    # keeps at least 1 + t(G)/2 vertices through every vertex: the claim
+    # suite, on drawn graphs rather than a fixed ensemble.
+    r, g = case
+    t, witness = max_induced_tree_exact(g)
+    assert all(find_tree(g, v, r).size <= t for v in range(g.n))
+    base = TreeCertificate(witness, min(witness), float(t), "oracle")
+    for v in range(g.n):
+        rerouted = reroute_through_vertex(g, base, v)
+        assert verify_certificate(g, rerouted)
+        assert v in rerouted.vertices and rerouted.size >= 1 + t / 2
 
 
 @pytest.mark.parametrize("v", [1, 2, 3])
