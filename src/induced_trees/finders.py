@@ -480,8 +480,6 @@ def find_large_tree(g: Graph) -> TreeCertificate:
     certificate."""
     _check_input(g, 0)  # root 0 exists in any nonempty graph
     n = g.n
-    if n == 1:
-        return TreeCertificate(frozenset({0}), 0, 1.0, "single-vertex")
     if g.edge_count == n - 1:
         return TreeCertificate(frozenset(range(n)), 0, float(n), "whole-tree")
     r = 3

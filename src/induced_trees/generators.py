@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .admissible import WeightedBipartiteInstance
-from .graph import Graph, _component_masks, _first_clique, _iter_edges, _low_bit
+from .graph import Graph, _first_clique, _iter_edges, _low_bit, _sweep_region
 
 __all__ = [
     "alpha_counterexample",
@@ -167,7 +167,7 @@ def random_kr_free(n: int, r: int, p: float, seed: int) -> Graph:
     # vertex of each later component connects the graph.  Its ends lie in
     # different components, so they share no neighbour and the bridge closes
     # no triangle, hence no clique.
-    for comp in _component_masks(masks, (1 << n) - 1)[1:]:
+    for comp in _sweep_region(masks, (1 << n) - 1)[0][1:]:
         y = _low_bit(comp)
         assert not masks[0] & masks[y]
         masks[0] |= 1 << y

@@ -219,19 +219,17 @@ def is_connected(g: Graph) -> bool:
     return _bfs_sweep(g)[0]
 
 
-def _component_masks(
-    masks: Sequence[int], region: int, seeds: Optional[int] = None
-) -> list[int]:
+def _component_masks(masks: Sequence[int], region: int, seeds: int) -> list[int]:
     """Connected components of the subgraph induced on the `region` bitmask,
     as bitmasks ordered by lowest set bit.
 
-    Without `seeds`, one BFS sweep walks the whole region.  With `seeds`, a
-    bitmask of region vertices, every component of the region must contain a
-    seed.  A finder step splits what is left of its connected region once
-    the root v and v's neighbourhood N(v) are removed, and passes the
-    vertices next to N(v): every component left has an edge to the removed
-    vertices, because the region is connected, and that edge ends in N(v),
-    because v's only neighbours in the region are N(v).
+    `seeds` is a bitmask of region vertices, and every component of the
+    region must contain a seed.  A finder step splits what is left of its
+    connected region once the root v and v's neighbourhood N(v) are
+    removed, and passes the vertices next to N(v): every component left has
+    an edge to the removed vertices, because the region is connected, and
+    that edge ends in N(v), because v's only neighbours in the region are
+    N(v).
 
     Each seed starts its own search, and the searches grow one BFS layer
     per round: two that meet merge, and one whose frontier empties is a
@@ -242,8 +240,6 @@ def _component_masks(
     the region (visited ⊆ region), so `region ^ visited` is what it has
     not reached yet.
     """
-    if seeds is None:
-        return _sweep_region(masks, region)[0]
     comps: list[int] = []
     # (visited, frontier) per search; visited sets are disjoint between rounds.
     live = [(1 << s, 1 << s) for s in _iter_bits(seeds)]
@@ -287,7 +283,7 @@ def components_of(g: Graph, excluded: Iterable[int] = ()) -> list[frozenset[int]
     region = ((1 << g.n) - 1) ^ ex_mask
     return [
         frozenset(_iter_bits(mask))
-        for mask in _component_masks(g.adjacency_masks, region)
+        for mask in _sweep_region(g.adjacency_masks, region)[0]
     ]
 
 

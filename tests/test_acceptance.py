@@ -3,11 +3,11 @@ line and holding its stated runtime budget.  Run with `pytest -v
 tests/test_acceptance.py` (add -s to see the per-criterion lines)."""
 
 import math
-import random
 import time
 
 import pytest
 
+from graph_cases import ceil_sqrt
 from induced_trees import (
     OracleBudget,
     TreeCertificate,
@@ -45,11 +45,6 @@ def report(num, ok, detail, elapsed, budget):
     print(f"[{verdict}] criterion {num}: {detail} ({elapsed:.1f}s / budget {budget:.0f}s)")
     assert ok, f"criterion {num}: {detail}"
     assert elapsed < budget, f"criterion {num} exceeded runtime budget: {elapsed:.1f}s"
-
-
-def ceil_sqrt(x):
-    root = math.isqrt(x)
-    return root if root * root == x else root + 1
 
 
 def test_criterion_01_sqrt_bound_on_layered_family():

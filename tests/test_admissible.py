@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from graph_cases import ceil_sqrt, random_instance
 from induced_trees import (
     AdmissibleSelection,
     ExhaustionLimitError,
@@ -20,6 +22,7 @@ from induced_trees import (
     select_weighted,
     solve_exact,
 )
+from induced_trees import admissible
 from induced_trees.admissible import LEMMA_SLACK, BItem
 from induced_trees.generators import alpha_counterexample, dyadic_bipartite
 from induced_trees.graph import _iter_bits
@@ -33,15 +36,6 @@ def matching_instance(k, weights=None):
 def star_instance(b_count, weights=None):
     weights = weights if weights is not None else [1.0] * b_count
     return WeightedBipartiteInstance(1, [(w, [0]) for w in weights])
-
-
-def random_instance(rng, max_a=10, max_b=20):
-    a = rng.randint(1, max_a)
-    items = []
-    for _ in range(rng.randint(1, max_b)):
-        degree = rng.randint(1, a)
-        items.append((rng.uniform(0.0, 1.0), rng.sample(range(a), degree)))
-    return WeightedBipartiteInstance(a, items)
 
 
 def mask_instance(rng, max_a=10, max_b=20):
@@ -89,11 +83,6 @@ def instance_inputs(draw, wide=False):
         weights = st.one_of(weights, st.sampled_from(WIDE_WEIGHTS))
     nbrs = st.lists(st.integers(0, a - 1), min_size=1, max_size=2 * a)
     return a, draw(st.lists(st.tuples(weights, nbrs), max_size=10))
-
-
-def ceil_sqrt(x):
-    root = math.isqrt(x)
-    return root if root * root == x else root + 1
 
 
 class TestInstanceValidation:
@@ -147,6 +136,42 @@ class TestInstanceValidation:
             tracemalloc.stop()
         assert inst.a_count == 2000000 and inst.b_count == 1
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: WeightedBipartiteInstance(0, []), ValueError, "a_count must be >= 1"),
+            (lambda: WeightedBipartiteInstance.from_json("{"), InstanceParseError, "invalid JSON: "),
+            (
+                lambda: WeightedBipartiteInstance.from_json("[]"),
+                InstanceParseError,
+                "expected object with 'a_count' and 'b_items'",
+            ),
+            (
+                lambda: WeightedBipartiteInstance.from_json('{"a_count": 1, "b_items": {}}'),
+                InstanceParseError,
+                "'b_items' must be a list",
+            ),
+            (
+                lambda: WeightedBipartiteInstance.from_json('{"a_count": 1, "b_items": [3]}'),
+                InstanceParseError,
+                "b_items[0]: expected object with 'w' and 'nbrs'",
+            ),
+            (
+                lambda: WeightedBipartiteInstance.from_json(
+                    '{"a_count": 1, "b_items": [{"w": "1", "nbrs": [0]}]}'
+                ),
+                InstanceParseError,
+                "b_items[0]: 'w' must be a number",
+            ),
+            (lambda: closure_b(matching_instance(2), {0, 2}), ValueError, "A-id 2 out of range"),
+        ],
+        ids=["a-count-0", "not-json", "not-object", "items-not-list", "item-not-object",
+             "weight-not-number", "closure-id-out-of-range"],
+    )
+    def test_input_guards(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
 
     def test_json_item_indexed_error(self):
         with pytest.raises(InstanceParseError, match=r"b_items\[1\]"):
@@ -309,6 +334,15 @@ class TestSelectUniform:
         sel = select_uniform(dyadic_bipartite(3))
         assert len(sel.b_chosen) >= ceil_sqrt(32) == 6
 
+    @pytest.mark.parametrize(
+        "select",
+        [select_uniform, lambda inst: select_randomized_dyadic(inst, seed=0)],
+        ids=["uniform", "randomized-dyadic"],
+    )
+    def test_no_items_selects_id_zero_alone(self, select):
+        sel = select(WeightedBipartiteInstance(3, []))
+        assert sel == AdmissibleSelection(frozenset({0}), frozenset(), 0.0, 0.5)
+
     def test_random_instances_meet_ceil_sqrt(self):
         rng = random.Random(17)
         for _ in range(200):
@@ -339,6 +373,28 @@ class TestSelectWeighted:
         inst = WeightedBipartiteInstance(2, [(0.0, [0]), (0.0, [0, 1])])
         sel = select_weighted(inst)
         assert sel.value == 0.0
+        sel.check(inst)
+
+    def test_exact_fallback_when_star_and_matching_fall_short(self, monkeypatch):
+        # The best star and the matching reach only 0.894 sqrt(10) here, so
+        # the selection calls the exact search once, with sqrt(10) as its
+        # target; S = {0, 1, 2, 3} keeps 2 + 4/sqrt(2).
+        inst = WeightedBipartiteInstance(
+            5, [(4.0, [4, 1]), (0.5, [0]), (0.5, [4, 2]), (0.5, [3]), (0.5, [1]), (4.0, [3, 0])]
+        )
+        calls = []
+        exact = admissible.solve_exact
+
+        def counting_exact(*args, **kwargs):
+            calls.append(kwargs)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(admissible, "solve_exact", counting_exact)
+        sel = select_weighted(inst)
+        assert calls == [{"alpha": 0.5, "target": math.sqrt(10.0)}]
+        assert sel.a_chosen == {0, 1, 2, 3}
+        assert sel.value == pytest.approx(2 + 4 / math.sqrt(2), rel=1e-12)
+        assert sel.value >= math.sqrt(inst.total_weight()) - LEMMA_SLACK
         sel.check(inst)
 
     def test_random_instances_meet_sqrt_total(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -479,6 +480,11 @@ class TestBench:
         )
         assert code == 2 and out == "" and "count must be >= 1" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_run_suite_rejects_an_unknown_name(self):
+        message = "unknown suite 'nope'; known: triangle-free, kr-free, admissible, claim"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bench.run_suite("nope", 1)
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

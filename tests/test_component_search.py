@@ -2,55 +2,23 @@
 ways: property tests against the plain BFS sweep and the theorem bounds,
 and mask-read counts that fail if a step walks the whole region again."""
 
-from collections.abc import Sequence
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_trees import Graph, find_tree, theorem_bound, verify_certificate
+from graph_cases import CountingMasks, connected_kr_free, cycle_graph, path_graph, small_graphs
+from induced_trees import find_tree, theorem_bound, verify_certificate
 from induced_trees.finders import BOUND_EPS
 from induced_trees.generators import random_kr_free
-from induced_trees.graph import _component_masks, _iter_bits, _neighbour_union
-
-
-class CountingMasks(Sequence):
-    """Adjacency masks that count how many are read."""
-
-    def __init__(self, masks):
-        self.masks = masks
-        self.reads = 0
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __getitem__(self, v):
-        self.reads += 1
-        return self.masks[v]
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-@st.composite
-def graphs_with_region(draw):
-    n = draw(st.integers(1, 24))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
-    region = draw(st.integers(0, (1 << n) - 1))
-    return Graph(n, edges), region
+from induced_trees.graph import _component_masks, _iter_bits, _neighbour_union, _sweep_region
 
 
 @st.composite
 def seeded_splits(draw):
     """A graph, a region and seeds that meet every component of the region:
     every region vertex, or one to all of each component's vertices."""
-    g, region = draw(graphs_with_region())
-    comps = _component_masks(g.adjacency_masks, region)
+    g = draw(small_graphs(1, 24))
+    region = draw(st.integers(0, (1 << g.n) - 1))
+    comps = _sweep_region(g.adjacency_masks, region)[0]
     if draw(st.booleans()):
         return g, region, region, comps
     seeds = 0
@@ -69,31 +37,11 @@ def test_seeded_split_equals_the_plain_sweep(case):
     assert _component_masks(g.adjacency_masks, region, seeds) == comps
 
 
-@st.composite
-def connected_triangle_free(draw):
-    """A random spanning tree plus random extra edges that close no triangle."""
-    n = draw(st.integers(1, 40))
-    masks = [0] * n
-    edges = []
-
-    def add(u, v):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        edges.append((u, v))
-
-    for v in range(1, n):
-        add(draw(st.integers(0, v - 1)), v)
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
-    for u, v in extra:
-        if u != v and not masks[u] >> v & 1 and not masks[u] & masks[v]:
-            add(u, v)
-    return Graph(n, edges), draw(st.integers(0, n - 1))
-
-
 @settings(max_examples=150, deadline=None)
-@given(connected_triangle_free())
-def test_triangle_free_certificates_verify_and_meet_the_bound(case):
-    g, v = case
+@given(connected_kr_free(rs=(3,), max_n=40), st.data())
+def test_triangle_free_certificates_verify_and_meet_the_bound(case, data):
+    _, g = case
+    v = data.draw(st.integers(0, g.n - 1))
     cert = find_tree(g, v, 3)
     assert verify_certificate(g, cert)
     assert cert.root == v

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_cases import complete_graph, cycle_graph, path_graph
 from induced_trees import (
     FinderPreconditionError,
     Graph,
@@ -31,18 +32,6 @@ from induced_trees.generators import (
     random_kr_free,
     random_triangle_free,
 )
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(leaves):

@@ -1,8 +1,9 @@
-import math
 import random
+import re
 
 import pytest
 
+from graph_cases import neighbour_sets, set_two_colouring
 from induced_trees import (
     format_edge_list,
     has_clique,
@@ -21,22 +22,23 @@ from induced_trees.generators import (
 )
 
 
-def two_colorable(g):
-    color = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ms_through_vertex(1), "m must be >= 2"),
+        (lambda: dyadic_bipartite(0), "k must be >= 1"),
+        (lambda: alpha_counterexample(1), "t must be >= 2"),
+        (lambda: random_kr_free(0, 3, 0.5, 0), "n must be >= 1"),
+        (lambda: random_kr_free(5, 3, -0.1, 0), "p must be in [0, 1]"),
+        (lambda: random_kr_free(5, 3, 1.5, 0), "p must be in [0, 1]"),
+        (lambda: random_kr_free(5, 1, 0.5, 0), "r must be >= 2"),
+    ],
+    ids=["through-vertex-m", "dyadic-k", "alpha-t", "kr-free-n", "kr-free-p-low",
+         "kr-free-p-high", "kr-free-r"],
+)
+def test_parameter_guards(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestMsLayered:
@@ -58,7 +60,7 @@ class TestMsLayered:
     def test_connected_and_bipartite(self):
         g = ms_layered(4)
         assert is_connected(g)
-        assert two_colorable(g)
+        assert set_two_colouring(neighbour_sets(g), g.n)
 
     def test_parameter_validated(self):
         with pytest.raises(ValueError):

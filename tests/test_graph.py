@@ -1,9 +1,19 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from graph_cases import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    neighbour_sets,
+    path_graph,
+    random_graph,
+    set_components,
+    small_graphs,
+)
 from induced_trees import (
     EdgeListParseError,
     Graph,
@@ -26,26 +36,37 @@ from induced_trees.generators import line_graph_balanced_tree, ms_layered
 from induced_trees.graph import edge_list_header
 
 
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_bipartite(a, b):
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def random_graph(n, p, rng):
-    return Graph(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    )
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Graph(-1), ValueError, "vertex count must be >= 0"),
+        (lambda: find_clique(path_graph(3), 0), ValueError, "clique size must be >= 1"),
+        (lambda: is_induced_tree(path_graph(3), {0, 3}), ValueError, "s contains out-of-range vertices"),
+        (lambda: shortest_path(path_graph(3), 3, {0}), ValueError, "vertices out of range"),
+        (lambda: shortest_path(path_graph(3), 0, {3}), ValueError, "vertices out of range"),
+        (lambda: induced_subgraph(path_graph(3), {0, 3}), ValueError, "vertices out of range"),
+        (
+            lambda: components_of(path_graph(3), {3}),
+            ValueError,
+            "excluded set contains out-of-range vertices",
+        ),
+        (
+            lambda: shortest_path(Graph(3, [(0, 1)]), 0, {2}),
+            RuntimeError,
+            "to_set unreachable from start",
+        ),
+        (
+            lambda: parse_edge_list("3 1\n0 1\n1 2\n"),
+            EdgeListParseError,
+            "line 3: expected 1 edge lines, found 2",
+        ),
+    ],
+    ids=["negative-n", "clique-size-0", "tree-id", "path-start", "path-target", "subgraph-id",
+         "components-id", "path-unreachable", "extra-edge-line"],
+)
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestConstruction:
@@ -247,17 +268,11 @@ class TestIsInducedTree:
         for _ in range(20):
             n = rng.randint(1, 7)
             g = random_graph(n, rng.random(), rng)
+            nbrs = neighbour_sets(g)
             for mask in range(1, 1 << n):
                 s = {v for v in range(n) if mask >> v & 1}
                 inner = [(u, v) for u, v in g.edges if u in s and v in s]
-                stack, seen = [min(s)], {min(s)}
-                while stack:
-                    x = stack.pop()
-                    for y in g.neighbors(x):
-                        if y in s and y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                expected = seen == s and len(inner) == len(s) - 1
+                expected = len(set_components(nbrs, s)) == 1 and len(inner) == len(s) - 1
                 assert is_induced_tree(g, s) == expected
 
 
@@ -280,21 +295,13 @@ class TestShortestPath:
             shortest_path(path_graph(2), 0, set())
 
 
-@st.composite
-def graphs(draw):
-    n = draw(st.integers(0, 40))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=120)) if pairs else []
-    return Graph(n, edges)
-
-
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = ms_layered(3)
         assert parse_edge_list(format_edge_list(g)) == g
 
     @settings(max_examples=150, deadline=None)
-    @given(graphs())
+    @given(small_graphs(0, 40))
     def test_round_trip_property(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
 

@@ -10,6 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_cases import (
+    WIDTH,
+    CountingMasks,
+    bits_of,
+    cycle_graph,
+    kernel_graphs,
+    neighbour_sets,
+    set_components,
+    set_two_colouring,
+)
 from induced_trees import Graph, find_clique, find_triangle, is_connected, is_induced_tree
 from induced_trees.generators import ms_layered
 from induced_trees.graph import (
@@ -18,14 +28,8 @@ from induced_trees.graph import (
     _first_clique,
     _iter_bits,
     _neighbour_union,
+    _sweep_region,
 )
-from test_component_search import CountingMasks, cycle_graph
-
-WIDTH = 4096
-
-
-def bits_of(mask):
-    return {i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"}
 
 
 def mask_of(vertices):
@@ -34,51 +38,6 @@ def mask_of(vertices):
 
 sparse_masks = st.builds(mask_of, st.sets(st.integers(0, WIDTH - 1), max_size=60))
 wide_masks = st.one_of(sparse_masks, st.integers(0, (1 << WIDTH) - 1))
-
-
-@st.composite
-def spread_graphs(draw):
-    """A graph on up to 30 vertices spread over ids below WIDTH (the other
-    ids are isolated); triangles are left as drawn, planted or filtered out."""
-    ids = sorted(draw(st.sets(st.integers(0, WIDTH - 1), min_size=1, max_size=30)))
-    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * len(ids), unique=True)) if pairs else []
-    mode = draw(st.sampled_from(["as-drawn", "planted", "triangle-free"]))
-    if mode == "planted" and len(ids) >= 3:
-        # An edge (a, b) with one to three common neighbours.
-        a, b, *common = draw(st.lists(st.sampled_from(ids), min_size=3, max_size=5, unique=True))
-        planted = [(a, b)] + [(x, c) for c in common for x in (a, b)]
-        edges = list(set(edges) | {tuple(sorted(e)) for e in planted})
-    if mode == "triangle-free":
-        nbrs = {v: set() for v in ids}
-        kept = []
-        for u, v in edges:
-            if not nbrs[u] & nbrs[v]:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-                kept.append((u, v))
-        edges = kept
-    return Graph(ids[-1] + 1, edges), ids
-
-
-def neighbour_sets(g):
-    return [bits_of(mask) if mask else set() for mask in g.adjacency_masks]
-
-
-def set_components(nbrs, region):
-    """Components of the region (a set), by BFS on sets, ordered by minimum."""
-    left, comps = set(region), []
-    while left:
-        start = min(left)
-        comp, todo = {start}, [start]
-        while todo:
-            for y in nbrs[todo.pop()] & left:
-                if y not in comp:
-                    comp.add(y)
-                    todo.append(y)
-        left -= comp
-        comps.append(comp)
-    return comps
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +55,7 @@ def test_neighbour_union_equals_the_set_union(masks, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(spread_graphs(), st.data())
+@given(kernel_graphs(), st.data())
 def test_seeded_components_equal_the_sweep_and_a_set_bfs(case, data):
     g, ids = case
     region = data.draw(st.sets(st.sampled_from(ids)))
@@ -106,7 +65,7 @@ def test_seeded_components_equal_the_sweep_and_a_set_bfs(case, data):
         seeds |= data.draw(st.sets(st.sampled_from(sorted(comp)), min_size=1))
     expected = [mask_of(comp) for comp in comps]
     masks, region_mask = g.adjacency_masks, mask_of(region)
-    assert _component_masks(masks, region_mask) == expected
+    assert _sweep_region(masks, region_mask)[0] == expected
     assert _component_masks(masks, region_mask, mask_of(seeds)) == expected
 
 
@@ -123,51 +82,14 @@ def ordered_triangle(g):
 
 
 @settings(max_examples=120, deadline=None)
-@given(spread_graphs())
+@given(kernel_graphs())
 def test_find_triangle_equals_the_ordered_brute_force(case):
     g, _ = case
     assert find_triangle(g) == ordered_triangle(g)
 
 
-def set_two_colouring(nbrs, n):
-    """True iff a BFS 2-colouring on sets leaves no edge inside a colour."""
-    colour = {}
-    for s in range(n):
-        if s in colour:
-            continue
-        colour[s], todo = 0, [s]
-        while todo:
-            x = todo.pop()
-            for y in nbrs[x]:
-                if y not in colour:
-                    colour[y] = 1 - colour[x]
-                    todo.append(y)
-                elif colour[y] == colour[x]:
-                    return False
-    return True
-
-
-@st.composite
-def compact_graphs(draw):
-    """A graph on ids 0..n-1, n <= 12, each pair an edge at a drawn rate,
-    and half the time with every edge that would close a triangle dropped:
-    the connected and odd-cycle triangle-free cases spread_graphs rarely
-    draws."""
-    n = draw(st.integers(1, 12))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rate = draw(st.sampled_from([0.15, 0.3, 0.5]))
-    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
-    triangle_free = draw(st.booleans())
-    nbrs = [set() for _ in range(n)]
-    for (u, v), x in zip(pairs, keep):
-        if x < rate and not (triangle_free and nbrs[u] & nbrs[v]):
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    return Graph(n, [(u, v) for u, v in pairs if v in nbrs[u]]), list(range(n))
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(spread_graphs(), compact_graphs()))
+@given(kernel_graphs())
 def test_sweep_answers_connectivity_and_holds_every_triangle(case):
     g, _ = case
     nbrs = neighbour_sets(g)
@@ -211,7 +133,7 @@ def test_a_bipartite_chain_is_proved_triangle_free_by_the_sweep_alone():
 
 
 @settings(max_examples=120, deadline=None)
-@given(spread_graphs(), st.data())
+@given(kernel_graphs(), st.data())
 def test_is_induced_tree_equals_a_set_check(case, data):
     g, ids = case
     s = data.draw(st.sets(st.sampled_from(ids), min_size=1))

@@ -9,6 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graph_cases import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    random_instance,
+    small_graphs,
+)
 from induced_trees import (
     BudgetExceededError,
     Graph,
@@ -34,20 +42,6 @@ from induced_trees.generators import (
 )
 
 
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n, p, rng):
-    return Graph(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    )
-
-
 def brute_force_max_tree(g, containing=None):
     best = 0
     for k in range(1, g.n + 1):
@@ -57,10 +51,6 @@ def brute_force_max_tree(g, containing=None):
             if is_induced_tree(g, s):
                 best = max(best, k)
     return best
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def recursive_tree_search(g, v=None):
@@ -95,17 +85,6 @@ def recursive_tree_search(g, v=None):
     else:
         grow(1 << v, 1, 0, masks[v], full ^ (1 << v))
     return best[0], frozenset(u for u in range(g.n) if best[1] >> u & 1)
-
-
-@st.composite
-def small_graphs(draw):
-    """A graph on 1..14 vertices, each pair an edge with probability
-    density/10."""
-    n = draw(st.integers(1, 14))
-    density = draw(st.integers(0, 10))
-    pairs = list(combinations(range(n), 2))
-    rolls = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [pair for pair, roll in zip(pairs, rolls) if roll < density])
 
 
 def _plain_naive(inst, alpha):
@@ -175,17 +154,6 @@ ROUNDED_BELOW = WeightedBipartiteInstance(
 
 # {0}, {1} and {0, 1} each collect two items of weight 1: {0} must win.
 TIED = WeightedBipartiteInstance(2, [(1.0, [0]), (1.0, [1]), (1.0, [0, 1])])
-
-
-def random_instance(rng, max_a=8, max_b=12):
-    a = rng.randint(1, max_a)
-    items = []
-    for _ in range(rng.randint(1, max_b)):
-        degree = rng.randint(1, a)
-        items.append((rng.uniform(0.0, 1.0), rng.sample(range(a), degree)))
-    from induced_trees import WeightedBipartiteInstance
-
-    return WeightedBipartiteInstance(a, items)
 
 
 class TestMaxInducedTree:
@@ -258,7 +226,7 @@ class TestMaxInducedTree:
         assert searches[0].nodes < 6000
 
     @settings(max_examples=200, deadline=None)
-    @given(small_graphs())
+    @given(small_graphs(1, 14))
     def test_same_witness_as_the_recursive_enumeration(self, g):
         assert max_induced_tree_exact(g) == recursive_tree_search(g)
         for v in range(g.n):
@@ -341,22 +309,16 @@ class TestMaxTreeThroughVertex:
 
 class TestAdmissibleNaive:
     def test_single_star(self):
-        from induced_trees import WeightedBipartiteInstance
-
         inst = WeightedBipartiteInstance(1, [(4.0, [0]), (1.0, [0])])
         sel = admissible_naive(inst)
         assert sel.value == pytest.approx(3.0, rel=1e-12)
 
     def test_budget_enforced(self):
-        from induced_trees import WeightedBipartiteInstance
-
         inst = WeightedBipartiteInstance(25, [(1.0, [i]) for i in range(25)])
         with pytest.raises(BudgetExceededError):
             admissible_naive(inst)
 
     def test_time_budget_is_hard(self):
-        from induced_trees import WeightedBipartiteInstance
-
         # 7 subsets, fewer than one deadline period.
         inst = WeightedBipartiteInstance(3, [(1.0, [0]), (2.0, [1, 2])])
         with pytest.raises(BudgetExceededError, match="time limit"):
@@ -401,7 +363,7 @@ class TestAdmissibleNaive:
     def test_matches_solver_on_random_instances(self):
         rng = random.Random(12)
         for _ in range(60):
-            inst = random_instance(rng)
+            inst = random_instance(rng, max_a=8, max_b=12)
             alpha = rng.choice([0.5, 0.8, 1.0])
             naive = admissible_naive(inst, alpha=alpha)
             exact = solve_exact(inst, alpha=alpha)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_cases import complete_bipartite, complete_graph
 from induced_trees import (
     CliqueAssertionError,
     Graph,
@@ -15,14 +16,6 @@ from induced_trees import (
 from induced_trees.generators import random_kr_free
 from induced_trees.graph import _iter_bits
 from induced_trees.ramsey import _extract, _independent_mask
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_bipartite(a, b):
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def extract(g, a, b):

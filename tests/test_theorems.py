@@ -6,8 +6,8 @@ the certificates are also held against the exact maximum t(G)."""
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from graph_cases import connected_kr_free, small_graphs
 from induced_trees import (
     Graph,
     TreeCertificate,
@@ -25,50 +25,6 @@ from induced_trees.graph import _first_clique
 PATH_5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
-def _lowest_vertices_of_components(nbrs):
-    lows, seen = [], set()
-    for s in range(len(nbrs)):
-        if s in seen:
-            continue
-        lows.append(s)
-        seen.add(s)
-        stack = [s]
-        while stack:
-            for y in nbrs[stack.pop()] - seen:
-                seen.add(y)
-                stack.append(y)
-    return lows
-
-
-def _holds_clique(nbrs, within, size):
-    return size == 0 or any(_holds_clique(nbrs, within & nbrs[x], size - 1) for x in within)
-
-
-@st.composite
-def connected_kr_free(draw, max_n=30, min_pairs_per_vertex=0):
-    """(r, g) for r = 3, 4 or 5: a drawn edge is kept only if it closes no
-    K_r, that is, if the common neighbourhood of its ends holds no K_{r-2}:
-    it is empty (r = 3), holds no edge (r = 4) or no triangle (r = 5).
-    Each later component is then joined to vertex 0 by its lowest vertex;
-    their neighbourhoods are disjoint, so such an edge closes nothing."""
-    r = draw(st.sampled_from([3, 4, 5]))
-    n = draw(st.integers(2, max_n))
-    nbrs = [set() for _ in range(n)]
-    vertex = st.integers(0, n - 1)
-    pairs = st.lists(st.tuples(vertex, vertex), min_size=min_pairs_per_vertex * n, max_size=3 * n)
-    for u, v in draw(pairs):
-        if u == v or v in nbrs[u]:
-            continue
-        if _holds_clique(nbrs, nbrs[u] & nbrs[v], r - 2):
-            continue
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    for low in _lowest_vertices_of_components(nbrs)[1:]:
-        nbrs[0].add(low)
-        nbrs[low].add(0)
-    return r, Graph(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
-
-
 @settings(max_examples=150, deadline=None)
 @given(connected_kr_free())
 @example((3, PATH_5))
@@ -80,7 +36,7 @@ def test_every_root_meets_the_theorem(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(connected_kr_free(max_n=14, min_pairs_per_vertex=2))
+@given(connected_kr_free(max_n=14))
 @example((3, PATH_5))
 def test_certificates_against_the_exact_maximum(case):
     # No certificate beats t(G), and rerouting the oracle's maximum tree
@@ -103,21 +59,13 @@ def test_the_five_vertex_path_meets_the_claimed_bound_with_no_slack(v):
     assert cert.size - cert.claimed_bound == 0.0
 
 
-@st.composite
-def simple_graphs(draw):
-    n = draw(st.integers(0, 16))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return n, [pair for pair in pairs if draw(st.booleans())]
-
-
 @settings(max_examples=150, deadline=None)
-@given(simple_graphs())
-def test_triangle_and_three_clique_share_one_answer(case):
+@given(small_graphs(0, 16))
+def test_triangle_and_three_clique_share_one_answer(g):
     # find_triangle and find_clique(g, 3) fill one cache entry, so either
     # call order on a fresh graph must give the lexicographically first
     # triangle, which _first_clique finds by its own search.
-    n, edges = case
-    first, second = Graph(n, edges), Graph(n, edges)
+    first, second = Graph(g.n, g.edges), Graph(g.n, g.edges)
     clique_first, triangle_first = find_clique(first, 3), find_triangle(first)
     triangle_second, clique_second = find_triangle(second), find_clique(second, 3)
     reference = _first_clique(first.adjacency_masks, 3)
