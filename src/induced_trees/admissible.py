@@ -163,7 +163,7 @@ def _instance_payload(text: str) -> tuple[int, list]:
     range-checked, so a caller can bound a_count before any mask is built."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "a_count" not in payload or "b_items" not in payload:
         raise InstanceParseError("expected object with 'a_count' and 'b_items'")

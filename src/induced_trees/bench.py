@@ -7,8 +7,8 @@ every certificate by the same verdict as `find` (finders._report_failure),
 which also requires the requested root; admissible rows re-check every
 selection with AdmissibleSelection.check before its value counts.  Rows
 are deterministic given the seed except for the wall-time column.  The
-acceptance tests drive the same ensemble helpers, so the CLI
-tables and the test suite exercise identical distributions.
+acceptance tests assert over these rows, so the CLI tables and the test
+suite reach their verdicts through the same code.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def run_suite(suite: str, seed: int, count: Optional[int] = None) -> list[dict]:
         raise ValueError(f"count must be >= 1, got {count}")
     started = time.monotonic()
     rows = _RUNNERS[suite](seed, count)
-    log.info("suite %s: %d rows in %.1fs", suite, len(rows), time.monotonic() - started)
+    log.debug("suite %s: %d rows in %.1fs", suite, len(rows), time.monotonic() - started)
     return rows
 
 

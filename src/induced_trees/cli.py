@@ -6,8 +6,8 @@ verify (check a certificate file), bench (reproducible suite tables).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse/precondition
 errors, 3 internal failure (any other exception, e.g. a violated invariant;
-the traceback is logged at debug level).  Set INDUCED_TREE_LOG=debug|info for
-progress logging.
+the traceback is logged at debug level).  Set INDUCED_TREE_LOG=debug to log
+at debug level: that traceback and one summary line per bench suite.
 """
 
 from __future__ import annotations
@@ -50,12 +50,8 @@ INSTANCE_GENERATORS = {
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("INDUCED_TREE_LOG", "").lower()
-    levels = {"debug": logging.DEBUG, "info": logging.INFO}
-    if level_name in levels:
-        logging.basicConfig(
-            level=levels[level_name], format="%(levelname)s %(name)s: %(message)s"
-        )
+    if os.environ.get("INDUCED_TREE_LOG", "").lower() == "debug":
+        logging.basicConfig(level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _build_parser() -> argparse.ArgumentParser:

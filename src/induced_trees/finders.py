@@ -135,7 +135,10 @@ class TreeCertificate:
 
     @staticmethod
     def from_json(text: str) -> "TreeCertificate":
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError(f"invalid certificate JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValueError("certificate must be a JSON object")
         for key in ("root", "vertices", "claimed_bound"):

@@ -1,7 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line and holding its stated runtime budget.  Run with `pytest -v
-tests/test_acceptance.py` (add -s to see the per-criterion lines)."""
+tests/test_acceptance.py` (add -s to see the per-criterion lines).
 
+Criteria 01-05, 08 and 10 assert over the rows of the `bench` suites at
+SEED, so the CLI tables and these verdicts come from the same code: each
+criterion checks its row count, that every row requires the paper's
+bound, that every row verified, and that the achieved value holds
+against the requirement in the row's direction."""
+
+import functools
 import math
 import time
 
@@ -10,32 +17,14 @@ import pytest
 from graph_cases import ceil_sqrt
 from induced_trees import (
     OracleBudget,
-    TreeCertificate,
     admissible_naive,
-    find_tree_kr_free,
-    find_tree_triangle_free,
-    max_induced_tree_exact,
     max_tree_through_vertex_exact,
-    reroute_through_vertex,
     select_randomized_dyadic,
     select_uniform,
-    select_weighted,
     solve_exact,
-    verify_certificate,
 )
-from induced_trees.bench import (
-    connected_ensemble,
-    instance_ensemble,
-    kr_free_ensemble,
-    triangle_free_ensemble,
-)
-from induced_trees.generators import (
-    alpha_counterexample,
-    dyadic_bipartite,
-    line_graph_balanced_tree,
-    ms_layered,
-    ms_through_vertex,
-)
+from induced_trees.bench import instance_ensemble, run_suite
+from induced_trees.generators import dyadic_bipartite, ms_through_vertex
 
 SEED = 1
 
@@ -47,82 +36,88 @@ def report(num, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {num} exceeded runtime budget: {elapsed:.1f}s"
 
 
-def test_criterion_01_sqrt_bound_on_layered_family():
+@functools.cache
+def suite_run(suite):
+    """The suite's rows at SEED with its default counts, and the wall time
+    of that one run; every criterion reading the suite shares both."""
     started = time.monotonic()
-    checked = 0
-    for m in range(3, 31):
-        g = ms_layered(m)
-        for v in range(g.n):
-            cert = find_tree_triangle_free(g, v)
-            assert verify_certificate(g, cert), (m, v)
-            assert cert.size >= m, (m, v, cert.size)
-            checked += 1
-    elapsed = time.monotonic() - started
-    report(1, True, f"{checked} verified certificates of size >= sqrt(n) on m=3..30", elapsed, 60)
+    rows = run_suite(suite, SEED)
+    return rows, time.monotonic() - started
+
+
+def suite_rows(suite, algorithm, relation, instance=""):
+    """The suite's rows of one algorithm and relation whose instance name
+    starts with `instance`, and the suite run's wall time."""
+    rows, elapsed = suite_run(suite)
+    picked = [
+        row for row in rows
+        if row["algorithm"] == algorithm and row["relation"] == relation
+        and row["instance"].startswith(instance)
+    ]
+    return picked, elapsed
+
+
+def check_rows(rows, count, bound=None):
+    """Assert the row count and that each row verified and holds in its
+    relation's direction; with `bound`, also that each row requires
+    bound(row)."""
+    assert len(rows) == count
+    for row in rows:
+        if bound is not None:
+            assert row["bound_required"] == bound(row), row
+        assert row["verified"], row
+        achieved, required = row["bound_achieved"], row["bound_required"]
+        assert achieved >= required if row["relation"] == ">=" else achieved <= required, row
+
+
+def layered_m(row):
+    """m of an ms-layered(m=...) row, read off its instance name."""
+    return int(row["instance"].removeprefix("ms-layered(m=").removesuffix(")"))
+
+
+def test_criterion_01_sqrt_bound_on_layered_family():
+    rows, elapsed = suite_rows(
+        "triangle-free", "find-tree-triangle-free", ">=", instance="ms-layered"
+    )
+    check_rows(rows, 28, bound=layered_m)
+    assert [layered_m(row) for row in rows] == list(range(3, 31))
+    report(1, True, f"{len(rows)} layered graphs m=3..30, every root verified at size >= sqrt(n) = m",
+           elapsed, 60)
 
 
 def test_criterion_02_layered_family_ceiling():
-    started = time.monotonic()
-    budget = OracleBudget(max_vertices=25, time_limit=120.0)
-    values = {}
-    for m in range(2, 6):
-        size, witness = max_induced_tree_exact(ms_layered(m), budget)
-        assert size <= 2 * m - 1, (m, size)
-        values[m] = size
+    rows, elapsed = suite_rows("triangle-free", "oracle-max-tree<=2m-1", "<=")
+    check_rows(rows, 4, bound=lambda row: 2 * layered_m(row) - 1)
+    values = {layered_m(row): row["bound_achieved"] for row in rows}
     assert values == {2: 3, 3: 5, 4: 7, 5: 9}
-    elapsed = time.monotonic() - started
     report(2, True, f"exact maxima {values} all <= 2m-1", elapsed, 120)
 
 
 def test_criterion_03_sqrt_bound_random_ensemble():
-    started = time.monotonic()
-    graphs = 0
-    for _, g in triangle_free_ensemble(SEED, 500):
-        need = ceil_sqrt(g.n)
-        for v in sorted({0, g.n // 2, g.n - 1}):
-            cert = find_tree_triangle_free(g, v)
-            assert verify_certificate(g, cert)
-            assert v in cert.vertices
-            assert cert.size >= need, (g.n, v, cert.size)
-        graphs += 1
-    elapsed = time.monotonic() - started
-    report(3, True, f"{graphs} random triangle-free graphs, 3 roots each, size >= ceil(sqrt(n))", elapsed, 120)
+    rows, elapsed = suite_rows(
+        "triangle-free", "find-tree-triangle-free", ">=", instance="random-triangle-free"
+    )
+    check_rows(rows, 500, bound=lambda row: math.sqrt(row["n"]))
+    report(3, True, f"{len(rows)} random triangle-free graphs, 3 roots each, size >= sqrt(n)",
+           elapsed, 120)
 
 
 def test_criterion_04_log_bound_kr_free():
-    started = time.monotonic()
-    certs = 0
-    for r in (4, 5):
-        instances = list(kr_free_ensemble(SEED + r, r, 200))
-        instances += [
-            (f"line-graph(r={r},depth={d})", line_graph_balanced_tree(r, d))
-            for d in (2, 3, 4)
-        ]
-        for _, g in instances:
-            need = math.log(g.n) / (4.0 * math.log(r))
-            for v in sorted({0, g.n // 2, g.n - 1}):
-                cert = find_tree_kr_free(g, v, r)
-                assert verify_certificate(g, cert)
-                assert v in cert.vertices
-                assert cert.size >= need, (g.n, r, v, cert.size)
-                certs += 1
-    elapsed = time.monotonic() - started
-    report(4, True, f"{certs} verified K_r-free certificates at ln(n)/(4 ln r), r in {{4,5}}", elapsed, 120)
+    rows, elapsed = suite_rows("kr-free", "find-tree-kr-free", ">=")
+    check_rows(rows, 2 * (200 + 3), bound=lambda row: math.log(row["n"]) / (4 * math.log(row["r"])))
+    assert sorted(row["r"] for row in rows) == [4] * 203 + [5] * 203
+    report(4, True, f"{len(rows)} K_r-free graphs, 3 roots each, size >= ln(n)/(4 ln r), r in {{4,5}}",
+           elapsed, 120)
 
 
 def test_criterion_05_weighted_selection_bound():
-    started = time.monotonic()
-    count = 0
-    for _, inst in instance_ensemble(SEED, 1000):
-        target = math.sqrt(inst.total_weight())
-        exact = solve_exact(inst, alpha=0.5)
-        assert exact.value >= target - 1e-9, (count, exact.value, target)
-        constructive = select_weighted(inst)
-        constructive.check(inst)
-        assert constructive.value >= target - 1e-9, (count, constructive.value, target)
-        count += 1
-    elapsed = time.monotonic() - started
-    report(5, True, f"{count} instances meet sum sqrt(w) >= sqrt(total) exactly and constructively", elapsed, 60)
+    # Each row requires sqrt(total weight), which the row does not carry;
+    # with n items of weight at most 1 it is at most sqrt(n).
+    rows, elapsed = suite_rows("admissible", "weighted-selection>=sqrt-total", ">=")
+    check_rows(rows, 1000)
+    assert all(0 <= row["bound_required"] <= math.sqrt(row["n"]) for row in rows)
+    report(5, True, f"{len(rows)} instances meet sum sqrt(w) >= sqrt(total) exactly and constructively",
+           elapsed, 60)
 
 
 def test_criterion_06_solver_equivalence():
@@ -164,15 +159,12 @@ def test_criterion_07_uniform_selection_and_dyadic_tightness():
 
 
 def test_criterion_08_alpha_counterexample():
-    started = time.monotonic()
-    inst = alpha_counterexample(50)
-    assert inst.total_weight() == pytest.approx(1.0, abs=1e-12)
-    best = solve_exact(inst, alpha=0.6, limit=64)
+    rows, elapsed = suite_rows("admissible", "exact-max-below-1(alpha=0.6)", "<=")
+    check_rows(rows, 1, bound=lambda row: 1.0)
+    best = rows[0]["bound_achieved"]
     star = (1 - 1 / 50) ** 0.6 + 50.0 ** -1.2
-    assert best.value == pytest.approx(star, rel=1e-12)
-    assert best.value < 1.0
-    elapsed = time.monotonic() - started
-    report(8, True, f"exact optimum {best.value:.6f} < 1 at alpha=0.6 while total weight = 1", elapsed, 10)
+    assert best == pytest.approx(star, rel=1e-12)
+    report(8, True, f"exact optimum {best:.6f} < 1 at alpha=0.6 while total weight = 1", elapsed, 10)
 
 
 def test_criterion_09_randomized_selector():
@@ -196,21 +188,14 @@ def test_criterion_09_randomized_selector():
 
 
 def test_criterion_10_reroute_half_bound():
-    started = time.monotonic()
-    graphs = 0
-    budget = OracleBudget(max_vertices=14, time_limit=120.0)
-    for _, g in connected_ensemble(SEED, 200):
-        size, witness = max_induced_tree_exact(g, budget)
-        base = TreeCertificate(witness, min(witness), float(size), "oracle")
-        need = 1 + size / 2
-        for v in range(g.n):
-            cert = reroute_through_vertex(g, base, v)
-            assert verify_certificate(g, cert)
-            assert v in cert.vertices
-            assert cert.size >= need - 1e-9, (g.n, v, cert.size, need)
-        graphs += 1
-    elapsed = time.monotonic() - started
-    report(10, True, f"{graphs} graphs: every vertex rerouted at size >= 1 + t(G)/2", elapsed, 120)
+    # Each row requires 1 + t(G)/2 for the graph's exact maximum tree t(G),
+    # an integer between 2 and n on a connected graph of n >= 2 vertices.
+    rows, elapsed = suite_rows("claim", "reroute>=1+half-max-tree", ">=")
+    check_rows(rows, 200)
+    for row in rows:
+        t = 2 * (row["bound_required"] - 1)
+        assert t.is_integer() and 2 <= t <= row["n"], row
+    report(10, True, f"{len(rows)} graphs: every vertex rerouted at size >= 1 + t(G)/2", elapsed, 120)
 
 
 def test_criterion_11_through_vertex_upper_bound():

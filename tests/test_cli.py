@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import re
@@ -114,6 +115,13 @@ class TestFind:
         path.write_text("2 1\n0 0\n")
         code, _, err = run(capsys, "find", str(path), "--root", "0")
         assert code == 2 and "line 2" in err
+
+    def test_endpoint_equal_to_n_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n0 1\n3 0\n")
+        code, out, err = run(capsys, "find", str(path), "--root", "0")
+        assert code == 2 and out == ""
+        assert "line 3: edge (3, 0) out of range for n=3" in err
 
     def test_header_with_too_few_edges_is_rejected_before_parsing(
         self, tmp_path, capsys, monkeypatch
@@ -362,6 +370,24 @@ class TestVerify:
             assert code == 2 and out == ""
             assert "line 3: edge endpoints must be integers" in err
 
+
+@pytest.mark.parametrize(
+    "command, prefix",
+    [("verify", ""), ("oracle", '{"a_count": 1, "b_items": ')],
+    ids=["certificate", "instance"],
+)
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command, prefix):
+    # json.loads raises RecursionError on this; it is a parse error, not exit 3.
+    gpath = tmp_path / "ms3.txt"
+    save_edge_list(ms_layered(3), gpath)
+    jpath = tmp_path / "deep.json"
+    jpath.write_text(prefix + "[" * 200_000)
+    argv = [command, str(gpath), str(jpath)] if command == "verify" else [command, str(jpath)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "invalid" in err
+    assert "internal failure" not in err
+
+
 class TestInternalFailure:
     @pytest.fixture
     def finder_raising(self, tmp_path, monkeypatch):
@@ -480,6 +506,13 @@ class TestBench:
         )
         assert code == 2 and out == "" and "count must be >= 1" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_suite_summary_is_logged_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="induced_trees.bench"):
+            rows = bench.run_suite("claim", 1, 2)
+        [record] = [r for r in caplog.records if r.name == "induced_trees.bench"]
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(f"suite claim: {len(rows)} rows in ")
 
     def test_run_suite_rejects_an_unknown_name(self):
         message = "unknown suite 'nope'; known: triangle-free, kr-free, admissible, claim"

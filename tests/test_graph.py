@@ -60,9 +60,16 @@ from induced_trees.graph import edge_list_header
             EdgeListParseError,
             "line 3: expected 1 edge lines, found 2",
         ),
+        (
+            lambda: parse_edge_list("3 2\n0 1\n"),
+            EdgeListParseError,
+            "line 3: expected 2 edge lines, found 1",
+        ),
+        (lambda: Graph(3, [(3, 0)]), ValueError, "edge (3, 0) out of range for n=3"),
     ],
     ids=["negative-n", "clique-size-0", "tree-id", "path-start", "path-target", "subgraph-id",
-         "components-id", "path-unreachable", "extra-edge-line"],
+         "components-id", "path-unreachable", "extra-edge-line", "missing-edge-line",
+         "endpoint-equal-to-n"],
 )
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
