@@ -45,6 +45,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .admissible import WeightedBipartiteInstance, select_uniform, select_weighted
@@ -311,7 +312,7 @@ def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
 
 
 def _choose_branch_pair(
-    g: Graph, chosen: list[int], attach: dict[int, int], sizes: dict[int, int]
+    g: Graph, attach: dict[int, int], sizes: dict[int, int]
 ) -> tuple[tuple[int, int], str]:
     """Pick the two components to recurse into.
 
@@ -322,17 +323,16 @@ def _choose_branch_pair(
     pair maximizing the combined component size wins, ties to the smallest
     component indices.
     """
-    distinct = len(set(attach.values())) == len(chosen)
+    distinct = len(set(attach.values())) == len(attach)
     usable = [
         (i, j)
-        for ii, i in enumerate(chosen)
-        for j in chosen[ii + 1:]
+        for i, j in combinations(attach, 2)
         if (not g.has_edge(attach[i], attach[j]) if distinct else attach[i] == attach[j])
     ]
     if not usable:
         raise InternalInvariantError(
             "r+1 distinct attachments are pairwise adjacent in a K_r-free graph",
-            dump={"attachments": sorted(attach.values()), "chosen": chosen},
+            dump={"attachments": sorted(attach.values()), "chosen": list(attach)},
         )
     pair = min(usable, key=lambda p: (-(sizes[p[0]] + sizes[p[1]]), p))
     return pair, "two-branches" if distinct else "shared-attachment"
@@ -386,7 +386,7 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
             dump={"region_size": size, "r": r, "root": v, "chosen": len(attach)},
         )
     sizes = {i: big_comps[i].bit_count() for i in attach}
-    pair, strategy = _choose_branch_pair(g, list(attach), attach, sizes)
+    pair, strategy = _choose_branch_pair(g, attach, sizes)
     return 1 << v, strategy, [(big_comps[i] | (1 << attach[i]), attach[i]) for i in pair]
 
 

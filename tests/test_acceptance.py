@@ -2,11 +2,13 @@
 line and holding its stated runtime budget.  Run with `pytest -v
 tests/test_acceptance.py` (add -s to see the per-criterion lines).
 
-Criteria 01-05, 08 and 10 assert over the rows of the `bench` suites at
-SEED, so the CLI tables and these verdicts come from the same code: each
-criterion checks its row count, that every row requires the paper's
-bound, that every row verified, and that the achieved value holds
-against the requirement in the row's direction."""
+Criteria 01-05, 07, 08 and 10 assert over the rows of the `bench` suites
+at SEED, so the CLI tables and these verdicts come from the same code:
+each criterion checks its row count, that every row verified, and that
+the achieved value holds against the requirement in the row's direction;
+where the row carries what the paper's bound needs, also that the row
+requires it.  The mask kernel, both theorems and the rerouting claim are
+checked as drawn properties in test_mask_kernel.py and test_theorems.py."""
 
 import functools
 import math
@@ -75,6 +77,11 @@ def layered_m(row):
     return int(row["instance"].removeprefix("ms-layered(m=").removesuffix(")"))
 
 
+def dyadic_k(row):
+    """k of a dyadic(k=...) row, read off its instance name."""
+    return int(row["instance"].removeprefix("dyadic(k=").removesuffix(")"))
+
+
 def test_criterion_01_sqrt_bound_on_layered_family():
     rows, elapsed = suite_rows(
         "triangle-free", "find-tree-triangle-free", ">=", instance="ms-layered"
@@ -134,27 +141,22 @@ def test_criterion_06_solver_equivalence():
 
 
 def test_criterion_07_uniform_selection_and_dyadic_tightness():
+    # A weighted row verifies only if select_uniform's selection passes its
+    # check and keeps ceil(sqrt(|B|)) items; no row holds select_uniform on
+    # the dyadic instances.
+    weighted, elapsed = suite_rows("admissible", "weighted-selection>=sqrt-total", ">=")
+    check_rows(weighted, 1000)
+    rows, _ = suite_rows("admissible", "exact-max-below-2m", "<=")
+    check_rows(rows, 3, bound=lambda row: 2 ** (dyadic_k(row) + 1))
     started = time.monotonic()
-    count = 0
-    for _, inst in instance_ensemble(SEED + 200, 400):
-        sel = select_uniform(inst)
-        sel.check(inst)
-        assert len(sel.b_chosen) >= ceil_sqrt(inst.b_count)
-        count += 1
-    maxima = {}
     for k in (1, 2, 3):
         inst = dyadic_bipartite(k)
-        sel = select_uniform(inst)
-        assert len(sel.b_chosen) >= ceil_sqrt(inst.b_count)
-        best = solve_exact(inst, alpha=1.0)
-        assert best.value < 2 ** (k + 1), (k, best.value)
-        maxima[k] = best.value
-        count += 1
-    elapsed = time.monotonic() - started
+        assert len(select_uniform(inst).b_chosen) >= ceil_sqrt(inst.b_count)
+    maxima = {dyadic_k(row): row["bound_achieved"] for row in rows}
     report(
         7, True,
-        f"uniform bound on {count} instances; dyadic exact maxima {maxima} below 2m",
-        elapsed, 60,
+        f"uniform bound on {len(weighted) + 3} instances; dyadic exact maxima {maxima} below 2m",
+        elapsed + time.monotonic() - started, 60,
     )
 
 

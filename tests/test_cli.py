@@ -472,11 +472,6 @@ class TestBench:
             rows.append(stripped)
         assert rows[0] == rows[1]
 
-    def test_full_admissible_suite_all_verified(self, tmp_path, capsys):
-        out = tmp_path / "adm"
-        code, stdout, _ = run(capsys, "bench", "admissible", "--seed", "1", "--out", str(out))
-        assert code == 0 and "all_verified=True" in stdout
-
     def test_inadmissible_selection_fails_the_suite(self, tmp_path, capsys, monkeypatch):
         def inflated(inst):
             return AdmissibleSelection(

@@ -9,6 +9,7 @@ import math
 import random
 from functools import cache
 
+from graph_cases import cycle_graph, path_graph
 from induced_trees import (
     Graph,
     OracleBudget,
@@ -23,6 +24,7 @@ from induced_trees import (
     solve_exact,
 )
 from induced_trees.bench import (
+    _sample_roots,
     connected_ensemble,
     instance_ensemble,
     kr_free_ensemble,
@@ -49,14 +51,6 @@ def _digest(records) -> str:
     return digest.hexdigest()
 
 
-def _spread_roots(n: int) -> list[int]:
-    return sorted({0, n // 2, n - 1})
-
-
-def _cycle(n: int) -> Graph:
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def _records():
     """Yield one text line per pinned output, in a fixed order."""
     for m in range(3, 16):
@@ -66,16 +60,16 @@ def _records():
             yield find_tree_triangle_free(g, v).to_json()
     for _, g in triangle_free_ensemble(1, 120):
         yield format_edge_list(g)
-        for v in _spread_roots(g.n):
+        for v in _sample_roots(g.n):
             yield find_tree_triangle_free(g, v).to_json()
     for r in (4, 5):
         graphs = [g for _, g in kr_free_ensemble(1 + r, r, 80)]
         graphs += [line_graph_balanced_tree(r, depth) for depth in (2, 3, 4)]
         for g in graphs:
             yield format_edge_list(g)
-            for v in _spread_roots(g.n):
+            for v in _sample_roots(g.n):
                 yield find_tree_kr_free(g, v, r).to_json()
-    graphs = [_cycle(n) for n in range(3, 13)]
+    graphs = [cycle_graph(n) for n in range(3, 13)]
     graphs += [g for _, g in connected_ensemble(1, 60)]
     for g in graphs:
         yield format_edge_list(g)
@@ -128,12 +122,12 @@ LARGE_SHA256 = "c80b0796625fe7f68551637fe1c47d6bbff8eb4561ab18dc891f0d48d2acfe10
 def _large_records():
     triangle_free, kr_free = _large_random_graphs()
     for g in triangle_free:
-        for v in _spread_roots(g.n):
+        for v in _sample_roots(g.n):
             yield find_tree_triangle_free(g, v).to_json()
-    for g in (Graph(1500, [(i, i + 1) for i in range(1499)]), _cycle(1500)):
+    for g in (path_graph(1500), cycle_graph(1500)):
         yield find_tree_triangle_free(g, 0).to_json()
     for r, g in [(4, line_graph_balanced_tree(4, 10))] + list(zip((4, 5), kr_free)):
-        for v in _spread_roots(g.n):
+        for v in _sample_roots(g.n):
             yield find_tree_kr_free(g, v, r).to_json()
 
 

@@ -1,12 +1,11 @@
 import math
-import random
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graph_cases import complete_graph, cycle_graph, path_graph
+from graph_cases import complete_bipartite, complete_graph, cycle_graph, path_graph
 from induced_trees import (
     FinderPreconditionError,
     Graph,
@@ -33,17 +32,13 @@ from induced_trees.generators import (
 )
 
 
-def star_graph(leaves):
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 class TestTriangleFreeFinder:
     def test_single_vertex(self):
         cert = find_tree_triangle_free(Graph(1), 0)
         assert cert.vertices == frozenset({0}) and cert.size >= cert.claimed_bound
 
     def test_star_from_center_takes_everything(self):
-        g = star_graph(8)
+        g = complete_bipartite(1, 8)
         cert = find_tree_triangle_free(g, 0)
         assert cert.vertices == frozenset(range(9))
         assert cert.size >= math.sqrt(9)
@@ -73,7 +68,7 @@ class TestTriangleFreeFinder:
 
 class TestKrFreeFinder:
     def test_star_with_r4(self):
-        g = star_graph(5)
+        g = complete_bipartite(1, 5)
         cert = find_tree_kr_free(g, 0, 4)
         assert verify_certificate(g, cert)
         assert cert.size >= math.log(6) / (4 * math.log(4))
@@ -112,7 +107,7 @@ class TestKrFreeFinder:
 def test_chain_longer_than_the_recursion_limit(shape, r):
     # The finders keep pending subproblems on a list, not on the call
     # stack, so a chain of any length decomposes at the default limit.
-    n = sys.getrecursionlimit() + 100
+    n = max(20000, sys.getrecursionlimit() + 100)
     g = cycle_graph(n) if shape == "cycle" else path_graph(n)
     cert = find_tree(g, 0, r)
     assert verify_certificate(g, cert)
@@ -416,16 +411,6 @@ def test_each_selection_builds_one_instance(monkeypatch):
     assert (len(selections), len(splits)) == (120, 616)
 
 
-class TestRecursionSoundness:
-    def test_certificates_always_verify_across_mixed_ensembles(self):
-        rng = random.Random(20)
-        for _ in range(25):
-            n = rng.randint(2, 60)
-            g = random_triangle_free(n, rng.uniform(0.0, 0.25), rng.randrange(2 ** 32))
-            cert = find_large_tree(g)
-            assert verify_certificate(g, cert)
-
-
 class TestBranchPairChoice:
     # The component-pairing step only runs above n > r^8, out of desk
     # scale, so its selection rules are pinned down directly here.
@@ -434,10 +419,9 @@ class TestBranchPairChoice:
         from induced_trees.finders import _choose_branch_pair
 
         g = Graph(4, [(0, 1), (2, 3)])
-        chosen = [0, 1, 2, 3]
         attach = {0: 0, 1: 1, 2: 2, 3: 3}
         sizes = {0: 5, 1: 9, 2: 9, 3: 1}
-        pair, strategy = _choose_branch_pair(g, chosen, attach, sizes)
+        pair, strategy = _choose_branch_pair(g, attach, sizes)
         # attachments 1 and 2 are non-adjacent and their components are largest
         assert pair == (1, 2) and strategy == "two-branches"
 
@@ -445,17 +429,16 @@ class TestBranchPairChoice:
         from induced_trees.finders import _choose_branch_pair
 
         g = Graph(3)
-        pair, _ = _choose_branch_pair(g, [0, 1, 2], {0: 0, 1: 1, 2: 2}, {0: 2, 1: 2, 2: 2})
+        pair, _ = _choose_branch_pair(g, {0: 0, 1: 1, 2: 2}, {0: 2, 1: 2, 2: 2})
         assert pair == (0, 1)
 
     def test_shared_attachment_pairs_glue_at_the_shared_vertex(self):
         from induced_trees.finders import _choose_branch_pair
 
         g = Graph(2, [(0, 1)])
-        chosen = [0, 1, 2]
         attach = {0: 0, 1: 0, 2: 1}
         sizes = {0: 3, 1: 4, 2: 10}
-        pair, strategy = _choose_branch_pair(g, chosen, attach, sizes)
+        pair, strategy = _choose_branch_pair(g, attach, sizes)
         assert pair == (0, 1) and strategy == "shared-attachment"
 
     def test_all_adjacent_distinct_attachments_is_an_internal_error(self):
@@ -463,4 +446,4 @@ class TestBranchPairChoice:
 
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(InternalInvariantError):
-            _choose_branch_pair(g, [0, 1, 2], {0: 0, 1: 1, 2: 2}, {0: 1, 1: 1, 2: 1})
+            _choose_branch_pair(g, {0: 0, 1: 1, 2: 2}, {0: 1, 1: 1, 2: 1})

@@ -1,6 +1,8 @@
 """The bitmask kernel in graph.py, checked against set-based references on
-masks whose bits reach about 4096, where ints span many machine words, and
-the kernel rule of graph.py's docstring, checked on the package source."""
+masks whose bits reach about 4096, where ints span many machine words;
+mask-read counts that fail if a component search walks the whole region
+again; and the kernel rule of graph.py's docstring, checked on the
+package source."""
 
 import ast
 from itertools import combinations
@@ -17,10 +19,18 @@ from graph_cases import (
     cycle_graph,
     kernel_graphs,
     neighbour_sets,
+    path_graph,
     set_components,
     set_two_colouring,
 )
-from induced_trees import Graph, find_clique, find_triangle, is_connected, is_induced_tree
+from induced_trees import (
+    Graph,
+    find_clique,
+    find_tree,
+    find_triangle,
+    is_connected,
+    is_induced_tree,
+)
 from induced_trees.generators import ms_layered
 from induced_trees.graph import (
     _bfs_sweep,
@@ -67,6 +77,34 @@ def test_seeded_components_equal_the_sweep_and_a_set_bfs(case, data):
     masks, region_mask = g.adjacency_masks, mask_of(region)
     assert _sweep_region(masks, region_mask)[0] == expected
     assert _component_masks(masks, region_mask, mask_of(seeds)) == expected
+
+
+def test_path_region_with_one_seed_reads_no_mask():
+    masks = CountingMasks(path_graph(1000).adjacency_masks)
+    region = ((1 << 1000) - 1) ^ 1
+    assert _component_masks(masks, region, 1 << 1) == [region]
+    assert masks.reads == 0
+
+
+def test_first_split_of_a_cycle_reads_at_most_n_masks():
+    # Root 0: the two searches start at 2 and n-2 and meet halfway.
+    n = 2001
+    masks = CountingMasks(cycle_graph(n).adjacency_masks)
+    nv_mask = (1 << 1) | (1 << (n - 1))
+    rest = ((1 << n) - 1) ^ nv_mask ^ 1
+    seeds = _neighbour_union(masks.masks, nv_mask) & rest
+    assert _component_masks(masks, rest, seeds) == [rest]
+    assert masks.reads <= n
+
+
+def test_finding_on_a_path_reads_linearly_many_masks():
+    # A rescan of the region at every level would read about n^2/2 masks.
+    n = 2000
+    g = path_graph(n)
+    g.adjacency_masks = masks = CountingMasks(g.adjacency_masks)
+    cert = find_tree(g, 0, 3)
+    assert cert.size == n
+    assert masks.reads <= 10 * n
 
 
 def ordered_triangle(g):

@@ -14,7 +14,6 @@ from graph_cases import (
     cycle_graph,
     path_graph,
     random_graph,
-    random_instance,
     small_graphs,
 )
 from induced_trees import (
@@ -359,12 +358,3 @@ class TestAdmissibleNaive:
         sel, peak = traced_peak(admissible_naive, inst)
         assert peak < 4 * 2**20
         assert sel == _plain_naive(inst, 0.5)
-
-    def test_matches_solver_on_random_instances(self):
-        rng = random.Random(12)
-        for _ in range(60):
-            inst = random_instance(rng, max_a=8, max_b=12)
-            alpha = rng.choice([0.5, 0.8, 1.0])
-            naive = admissible_naive(inst, alpha=alpha)
-            exact = solve_exact(inst, alpha=alpha)
-            assert naive.value == exact.value
