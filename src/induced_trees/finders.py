@@ -24,9 +24,17 @@ pending (region, root) subproblems, so no chain is too long for the
 interpreter's recursion limit, and builds their certificate, so the
 claimed bound is written once; a one-level step (_tf or _kr) gets each
 region with its vertex count, fixes some tree vertices of it and returns
-the subproblems it leaves.  A step splits what is left of its region by
-searches seeded next to the root's neighbourhood (graph._component_masks),
-which leave the last piece unwalked, and tests each attachment vertex's
+the subproblems it leaves.  Runs at many roots of one graph share work
+through the graph's subtree cache: its key is a subproblem that a root's
+first step hands down, (r, region, root), and its value the bitmask of
+every tree vertex fixed at or below it.  The first step itself is not
+cached: it never repeats across roots, and strategies and selections
+come from it.  The cache stops storing once its ints would hold more
+bits than the graph's adjacency masks, so it at most doubles a graph's
+memory; over every root of ms_layered(30) it holds about half the
+masks' bits.  A step splits what is left of its region by searches
+seeded next to the root's neighbourhood (graph._component_masks), which
+leave the last piece unwalked, and tests each attachment vertex's
 mask against each piece, so a step reads masks only for the pieces it
 cuts off, not for the region: on chains the mask reads are linear, though
 every step still builds new n-bit region ints, so time on P_n grows about
@@ -44,6 +52,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -82,6 +91,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# Guards every graph's subtree budget, so concurrent finders cannot both
+# spend the last of it; stores are at most deg(v) per root.
+_SUBTREE_LOCK = threading.Lock()
 
 # Slack for comparing integer sizes against sqrt/log bounds.
 BOUND_EPS = 1e-9
@@ -244,28 +257,70 @@ def _select_attached(masks, nv_mask: int, comp_masks: list[int], select) -> dict
 
 
 def _grow(g: Graph, v: int, r: int, step, *args) -> TreeCertificate:
-    """The decomposition loop both finders share.  Pending (region, root)
-    subproblems wait on a stack, starting with the whole graph at v; a region
-    of at most 2 vertices is taken whole, any other goes to `step(g, region,
-    size, root, *args)` with its vertex count `size`, counted once here;
-    the step returns the tree vertices it fixes (a bitmask), its strategy
-    and its subproblems.  Returns the certificate of the union of the fixed
-    vertices, rooted at v, with the first step's strategy; its claimed bound,
-    theorem_bound(n - 1, r) + 1, is written only here."""
-    tree, top = 0, None
-    stack = [((1 << g.n) - 1, v)]
+    """The decomposition both finders share, rooted at v.  The top step
+    runs on the whole vertex set at v; a region of at most 2 vertices is
+    taken whole, any other goes to `step(g, region, size, root, *args)`
+    with its vertex count `size`, which returns the tree vertices it fixes
+    (a bitmask), its strategy and its (region, root) subproblems.  Each
+    subproblem the top step hands down is looked up in g's subtree cache
+    under (r, region, root); on a miss `_subtree` solves it and the result
+    is stored, and a hit skips the whole subtree.  Returns the certificate
+    of the union of the fixed vertices, rooted at v, with the top step's
+    strategy; its claimed bound, theorem_bound(n - 1, r) + 1, is written
+    only here.
+
+    The cache changes no certificate.  `_tf` and `_kr` are pure functions
+    of g's masks, the region, the root and r, so a cached subtree is the
+    one `_subtree` would build again; the tree is a union, so the order in
+    which subtrees are evaluated does not matter; and the strategy comes
+    from the top step, which is never cached.  Only the top step's
+    subproblems are keys: no top step repeats across roots, and a key per
+    deeper level would hold an n-bit region each, about 400 MB for one
+    root on P_40000, where this holds at most deg(v) entries per root."""
+    whole = (1 << g.n) - 1
+    if g.n <= 2:
+        tree, top, subproblems = whole, "base", []
+    else:
+        tree, top, subproblems = step(g, whole, g.n, v, *args)
+    cache = g._subtrees
+    for region, root in subproblems:
+        key = (r, region, root)
+        below = cache.get(key)
+        if below is None:
+            below = _subtree(g, region, root, step, args)
+            _store_subtree(g, key, below)
+        tree |= below
+    bound = theorem_bound(g.n - 1, r) + 1.0
+    return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
+
+
+def _subtree(g: Graph, region: int, root: int, step, args) -> int:
+    """The tree vertices fixed at or below the (region, root) subproblem,
+    as a bitmask.  Pending subproblems wait on a stack, so no chain is too
+    long for the interpreter's recursion limit."""
+    tree = 0
+    stack = [(region, root)]
     while stack:
         region, root = stack.pop()
         size = region.bit_count()
         if size <= 2:
-            fixed, strategy, subproblems = region, "base", []
+            fixed, subproblems = region, []
         else:
-            fixed, strategy, subproblems = step(g, region, size, root, *args)
+            fixed, _, subproblems = step(g, region, size, root, *args)
         tree |= fixed
-        top = top or strategy
         stack.extend(subproblems)
-    bound = theorem_bound(g.n - 1, r) + 1.0
-    return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
+    return tree
+
+
+def _store_subtree(g: Graph, key: tuple[int, int, int], tree: int) -> None:
+    """Cache `tree` under `key` if it fits in g's bit budget (see Graph)."""
+    bits = key[1].bit_length() + tree.bit_length()
+    with _SUBTREE_LOCK:
+        if g._subtree_room is None:
+            g._subtree_room = sum(map(int.bit_length, g.adjacency_masks))
+        if bits <= g._subtree_room and key not in g._subtrees:
+            g._subtrees[key] = tree
+            g._subtree_room -= bits
 
 
 def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:

@@ -3,6 +3,9 @@ queries the rest of the package is built on.
 
 Graphs are immutable after construction and every operation here is a
 pure query, so shared instances are safe to use from multiple threads.
+A graph's caches hold answers that depend on the graph alone, so
+concurrent callers may both fill the same entry, with the same value;
+the finders' subtree cache spends its bit budget under a lock.
 All outputs that are ordered (paths, component lists, parsed files) use
 ascending vertex ids to break ties, so repeated runs are reproducible.
 
@@ -140,11 +143,25 @@ class Graph:
     `edges` ((u, v) pairs, u < v), `neighbors`, `degree` and `has_edge` are
     views derived from it.  Connectivity, triangle and clique searches are
     cached lazily, which is safe because instances never change.
+
+    The finders cache decomposition results in `_subtrees`.  The key is a
+    subproblem that a root's first step hands down, `(r, region, root)`;
+    the value is the bitmask of every tree vertex fixed at or below it.
+    Runs at many roots of one graph share these subtrees.  The first step
+    itself, at the whole vertex set, is not cached: no two roots share it,
+    and the deeper steps each hold an n-bit region, so caching every step
+    would cost a bitmask per level.  `_subtree_room` is the bit budget
+    left, set on the first store to the bits of `adjacency_masks` (the
+    sum of their bit lengths); an entry costs the bit lengths of its
+    region and its value, and one that does not fit is not stored, so the
+    cache never holds more bits than the masks do.
     """
 
     # One slot per cached answer: a misspelt name raises instead of
     # silently missing the cache.
-    __slots__ = ("n", "edge_count", "adjacency_masks", "_sweep", "_cliques")
+    __slots__ = (
+        "n", "edge_count", "adjacency_masks", "_sweep", "_cliques", "_subtrees", "_subtree_room"
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -166,6 +183,8 @@ class Graph:
         self.adjacency_masks: tuple[int, ...] = tuple(masks)
         self._sweep: Optional[tuple[bool, int]] = None
         self._cliques: dict[int, Optional[frozenset[int]]] = {}
+        self._subtrees: dict[tuple[int, int, int], int] = {}
+        self._subtree_room: Optional[int] = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -1,11 +1,18 @@
 import math
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graph_cases import complete_bipartite, complete_graph, cycle_graph, path_graph
+from graph_cases import (
+    complete_bipartite,
+    complete_graph,
+    connected_kr_free,
+    cycle_graph,
+    path_graph,
+)
 from induced_trees import (
     FinderPreconditionError,
     Graph,
@@ -28,6 +35,7 @@ from induced_trees import (
 from induced_trees.generators import (
     line_graph_balanced_tree,
     ms_layered,
+    random_kr_free,
     random_triangle_free,
 )
 
@@ -96,6 +104,15 @@ class TestKrFreeFinder:
     def test_r_below_four_rejected(self):
         with pytest.raises(ValueError):
             find_tree_kr_free(path_graph(3), 0, 3)
+
+    def test_ramsey_star_holds_the_bound_above_r_to_the_fourth(self):
+        # n - 1 > 4^4, so the star must bring ceil(bound) = 2 independent
+        # neighbours, not 1: a request one short gives 2 vertices.
+        g = random_kr_free(300, 4, 0.02, 1)
+        cert = find_tree_kr_free(g, 0, 4)
+        assert cert.strategy == "ramsey-star"
+        assert round(cert.claimed_bound, 3) == 2.028
+        assert cert.size == 3 and verify_certificate(g, cert)
 
     def test_r_is_checked_before_the_graph(self):
         # As in find_tree, a call wrong in two ways reports r first.
@@ -403,12 +420,91 @@ def test_each_selection_builds_one_instance(monkeypatch):
     monkeypatch.setattr(WeightedBipartiteInstance, "__init__", counting_init)
     monkeypatch.setattr(finders, "select_weighted", counting_select)
     monkeypatch.setattr(finders, "_component_masks", counting_split)
+    # A fresh graph per root, so no call reads a subtree another cached:
+    # the cold work of each call.
+    for m in range(3, 13):
+        for v in range(m * m):
+            find_tree(ms_layered(m), v, 3)
+    assert len(built) == len(selections) == len(choices)
+    assert (len(selections), len(splits)) == (120, 616)
+    # One graph per m: later roots read the subtrees cached below earlier
+    # roots' first splits, so fewer splits run, and no selection is lost.
+    del built[:], selections[:], splits[:], choices[:]
     for m in range(3, 13):
         g = ms_layered(m)
         for v in range(g.n):
             find_tree(g, v, 3)
     assert len(built) == len(selections) == len(choices)
-    assert (len(selections), len(splits)) == (120, 616)
+    assert (len(selections), len(splits)) == (120, 352)
+
+
+def cached_bits(g):
+    """The bits the subtree cache holds: each entry's region and value."""
+    return sum(key[1].bit_length() + tree.bit_length() for key, tree in g._subtrees.items())
+
+
+def mask_bits(g):
+    return sum(mask.bit_length() for mask in g.adjacency_masks)
+
+
+def fresh_json(g, v, r):
+    return find_tree(Graph(g.n, g.edges), v, r).to_json()
+
+
+class TestSubtreeCache:
+    @settings(max_examples=100, deadline=None)
+    @given(connected_kr_free(), st.data())
+    def test_cached_subtrees_change_no_certificate(self, case, data):
+        # Every root, in a drawn order, for r and r + 1 on one graph object
+        # (a K_r-free graph is K_{r+1}-free), against a fresh copy per call.
+        r, g = case
+        for v in data.draw(st.permutations(range(g.n))):
+            for s in (r, r + 1):
+                assert find_tree(g, v, s).to_json() == fresh_json(g, v, s)
+
+    def test_the_bit_budget_binds_on_a_cycle(self, monkeypatch):
+        # Each root of C_200 hands down its own subproblem, of about 400
+        # bits, and the masks hold about 20,000: some subtrees go unstored.
+        g = cycle_graph(200)
+        solved = []
+        subtree = finders._subtree
+
+        def counting_subtree(*args):
+            solved.append(1)
+            return subtree(*args)
+
+        monkeypatch.setattr(finders, "_subtree", counting_subtree)
+        for v in range(g.n):
+            assert find_tree(g, v, 3).to_json() == fresh_json(g, v, 3)
+        assert 0 < len(g._subtrees) < len(solved)
+        assert cached_bits(g) <= mask_bits(g) == cached_bits(g) + g._subtree_room
+
+    def test_concurrent_roots_keep_the_budget_exact(self):
+        # More threads than cores, switching often, each asking every root
+        # of one cycle: a lost update to the budget would break the sum.
+        g = cycle_graph(120)
+        expected = {v: fresh_json(g, v, 3) for v in range(g.n)}
+        mismatches = []
+
+        def ask(order):
+            mismatches.extend(v for v in order if find_tree(g, v, 3).to_json() != expected[v])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Thread k asks roots k, k - 1, ..., 0, then k + 1, ..., n - 1.
+            orders = [[*range(k, -1, -1), *range(k + 1, g.n)] for k in range(0, g.n, 20)]
+            threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert 0 < len(g._subtrees) < g.n
+        assert cached_bits(g) <= mask_bits(g) == cached_bits(g) + g._subtree_room
 
 
 class TestBranchPairChoice:

@@ -1,6 +1,5 @@
 import json
 import math
-import random
 import sys
 import tracemalloc
 from itertools import combinations
@@ -13,7 +12,6 @@ from graph_cases import (
     complete_graph,
     cycle_graph,
     path_graph,
-    random_graph,
     small_graphs,
 )
 from induced_trees import (
@@ -199,15 +197,6 @@ class TestMaxInducedTree:
         with pytest.raises(ValueError, match=field if cap != 0 else "positive"):
             OracleBudget(**{field: cap})
 
-    def test_growth_matches_subset_filtering(self):
-        rng = random.Random(6)
-        for _ in range(25):
-            n = rng.randint(1, 12)
-            g = random_graph(n, rng.random(), rng)
-            size, witness = max_induced_tree_exact(g)
-            assert size == brute_force_max_tree(g)
-            assert is_induced_tree(g, witness) and len(witness) == size
-
     def test_dense_graph_work_stays_bounded(self, monkeypatch):
         # 4,865 nodes with both bounds; 7,183 without the push-time room
         # check, 10,703 without the clique cover, 26,993 with neither.
@@ -227,9 +216,18 @@ class TestMaxInducedTree:
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(1, 14))
     def test_same_witness_as_the_recursive_enumeration(self, g):
-        assert max_induced_tree_exact(g) == recursive_tree_search(g)
+        # Both maxima against the recursive enumeration, and for n <= 9
+        # against subset filtering as well.
+        filtered = g.n <= 9
+        global_size, witness = max_induced_tree_exact(g)
+        assert (global_size, witness) == recursive_tree_search(g)
+        assert is_induced_tree(g, witness) and len(witness) == global_size
+        assert not filtered or global_size == brute_force_max_tree(g)
         for v in range(g.n):
-            assert max_tree_through_vertex_exact(g, v) == recursive_tree_search(g, v)
+            through, witness = max_tree_through_vertex_exact(g, v)
+            assert (through, witness) == recursive_tree_search(g, v)
+            assert through <= global_size and v in witness
+            assert not filtered or through == brute_force_max_tree(g, containing=v)
 
 
 class TestEntryChecks:
@@ -292,18 +290,6 @@ class TestMaxTreeThroughVertex:
     def test_clique_through_any_vertex(self):
         size, _ = max_tree_through_vertex_exact(complete_graph(4), 2)
         assert size == 2
-
-    def test_never_exceeds_global_maximum(self):
-        rng = random.Random(8)
-        for _ in range(25):
-            n = rng.randint(1, 9)
-            g = random_graph(n, rng.random(), rng)
-            global_size, _ = max_induced_tree_exact(g)
-            for v in range(n):
-                through, witness = max_tree_through_vertex_exact(g, v)
-                assert through <= global_size
-                assert through == brute_force_max_tree(g, containing=v)
-                assert v in witness
 
 
 class TestAdmissibleNaive:
