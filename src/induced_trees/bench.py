@@ -31,7 +31,7 @@ from .admissible import (
     select_weighted,
     solve_exact,
 )
-from .graph import Graph
+from .graph import Graph, is_induced_tree
 
 log = logging.getLogger(__name__)
 
@@ -134,6 +134,19 @@ def _oracle_below(g: Graph, bound: int) -> tuple:
     return float(bound), size, size <= bound
 
 
+def _oracle_equals(g: Graph, bound: int, v: Optional[int] = None) -> tuple:
+    """t(G), or with v the maximum through v, against `bound`; verified when
+    the two are equal and the witness is an induced tree of that size (and
+    holds v)."""
+    budget = oracle.OracleBudget(max_vertices=g.n, time_limit=120.0)
+    if v is None:
+        size, witness = oracle.max_induced_tree_exact(g, budget)
+    else:
+        size, witness = oracle.max_tree_through_vertex_exact(g, v, budget)
+    ok = size == bound == len(witness) and is_induced_tree(g, witness)
+    return float(bound), size, ok and (v is None or v in witness)
+
+
 def suite_triangle_free(seed: int, count: Optional[int] = None) -> list[dict]:
     """Extremal family at every root, oracle upper bounds on the small
     members, and the random ensemble at three roots per graph."""
@@ -166,6 +179,35 @@ def suite_kr_free(seed: int, count: Optional[int] = None) -> list[dict]:
         n_graphs = count if count is not None else 200
         for name, g in kr_free_ensemble(seed + r, r, n_graphs):
             rows.append(_finder_row("kr-free", name, g, r))
+    return rows
+
+
+def suite_tightness(seed: int, count: Optional[int] = None) -> list[dict]:
+    """The exact maxima of the extremal families, each beside the finder's
+    worst root against theorem_bound: t(ms_layered(m)) = 2m-1 for m 2-20,
+    the maximum through v of ms_through_vertex(m) = m for m 2-30, and
+    t(line_graph_balanced_tree(r, d)) = 2d for r = 4, d <= 7 and r = 5,
+    d <= 5.  Nothing is drawn, so seed and count change nothing."""
+    rows = []
+    for m in range(2, 21):
+        g = generators.ms_layered(m)
+        name = f"ms-layered(m={m})"
+        rows.append(_row("tightness", name, "oracle-max-tree=2m-1", g.n, 3,
+                         _oracle_equals, g, 2 * m - 1, relation="=="))
+        rows.append(_finder_row("tightness", name, g, 3, roots=range(g.n)))
+    for m in range(2, 31):
+        g, v = generators.ms_through_vertex(m)
+        name = f"ms-through-vertex(m={m})"
+        rows.append(_row("tightness", name, "oracle-max-tree-through-v=m", g.n, 3,
+                         _oracle_equals, g, m, v, relation="=="))
+        rows.append(_finder_row("tightness", name, g, 3, roots=range(g.n)))
+    for r, depths in ((4, range(1, 8)), (5, range(1, 6))):
+        for depth in depths:
+            g = generators.line_graph_balanced_tree(r, depth)
+            name = f"line-graph-tree(r={r},depth={depth})"
+            rows.append(_row("tightness", name, "oracle-max-tree=2depth", g.n, r,
+                             _oracle_equals, g, 2 * depth, relation="=="))
+            rows.append(_finder_row("tightness", name, g, r, roots=range(g.n)))
     return rows
 
 
@@ -246,6 +288,7 @@ _RUNNERS = {
     "kr-free": suite_kr_free,
     "admissible": suite_admissible,
     "claim": suite_claim,
+    "tightness": suite_tightness,
 }
 SUITES = tuple(_RUNNERS)
 
@@ -262,12 +305,20 @@ def run_suite(suite: str, seed: int, count: Optional[int] = None) -> list[dict]:
     return rows
 
 
+def _slack(row: dict) -> float:
+    """How far a row's achieved value clears its requirement, in the row's
+    relation; a met bound is +0.0, so required - achieved, not
+    -(achieved - required), and 0.0 - |gap| for an equality."""
+    achieved, required = row["bound_achieved"], row["bound_required"]
+    if row["relation"] == ">=":
+        return achieved - required
+    if row["relation"] == "<=":
+        return required - achieved
+    return 0.0 - abs(achieved - required)
+
+
 def summarize(rows: list[dict]) -> dict:
-    slacks = []
-    for row in rows:
-        achieved, required = row["bound_achieved"], row["bound_required"]
-        # required - achieved, not -(achieved - required): a met bound is +0.0.
-        slacks.append(achieved - required if row["relation"] == ">=" else required - achieved)
+    slacks = [_slack(row) for row in rows]
     return {
         "rows": len(rows),
         "all_verified": all(row["verified"] for row in rows),

@@ -29,11 +29,35 @@ cover of the candidates, and the node is pruned when the cover saves
 (#candidates - #cliques) room or more.
 
 Each bound prunes only subtrees that cannot strictly beat the best so
-far, so a pruned node would never have changed the best.  Children are
-visited in the same pre-order, and the best set changes only on a strict
-gain, so the returned witness, the first maximum in that order, is the
-one a search without dead sets or these bounds returns; it just visits
-fewer nodes.
+far, so a pruned node would never have changed the best.
+
+False twins, two vertices with equal `adjacency_masks` entries, are cut
+too.  Each vertex keeps the mask of its lower twins; a child u is pushed
+only when all of u's lower twins are already in the set, and the global
+maximum skips every seed that has a lower twin.  This keeps the size and
+the witness:
+- Size.  Twins are non-adjacent with equal neighbourhoods, so if an
+  induced tree T holds u but not its lower twin u0, T - u + u0 is an
+  induced tree of the same size.  So some maximum tree is closed
+  downward in every twin class.
+- Witness.  A tree's visit path always adds its lowest current candidate
+  (a lower one would be forbidden below), and twins become candidates at
+  the same node.  Suppose the first maximum T1 of the search without
+  the rule held u but not its lower twin u0.  Then T1 - u + u0 would
+  come earlier: under an earlier seed if u0 is below T1's seed, and
+  otherwise by branching off to the lower child u0 where T1's path takes
+  a higher one.  No bound prunes it, since it strictly beats the best at
+  that point.  So it would have been found first, a contradiction.  T1
+  is therefore closed downward, its path passes the rule, and its seed
+  has no lower twin.  The through-vertex maximum never swaps out its
+  root, and the rule never tests the root.
+
+Children are visited in the same pre-order, and the best set changes
+only on a strict gain, so the returned witness, the first maximum in
+that order, is the one a search without dead sets, these bounds or the
+twin rule returns; it just visits fewer nodes.  On the layered extremal
+graphs, whose parts are twin classes, that is 336 nodes in place of
+672,979 for `ms_layered(6)`.
 """
 
 from __future__ import annotations
@@ -111,12 +135,19 @@ class _TreeSearch:
         self.best_size = 0
         self.best_set = 0
         self.nodes = 0
+        # twins[v]: the lower false twins of v, the lower vertices with v's mask.
+        seen: dict[int, int] = {}
+        self.twins = []
+        for v, mask in enumerate(self.masks):
+            lower = seen.get(mask, 0)
+            self.twins.append(lower)
+            seen[mask] = lower | 1 << v
 
     def grow(self, root: int, universe: int) -> None:
         """Visit, in depth-first pre-order, the trees that contain `root`
         and otherwise lie inside `universe`.  A stack entry is (set, size,
         forbidden, neighbours, dead)."""
-        masks = self.masks
+        masks, twins = self.masks, self.twins
         stack = [(1 << root, 1, 0, masks[root] & universe, 0)]
         while stack:
             s_mask, size, forbidden, nbr_mask, dead = stack.pop()
@@ -144,6 +175,9 @@ class _TreeSearch:
                 ext ^= 1 << u
                 below -= 1
                 if below >= room:  # this child cannot beat the best
+                    continue
+                lower = twins[u]
+                if lower and lower & s_mask != lower:  # a lower twin is missing
                     continue
                 mu = masks[u] & universe
                 stack.append((
@@ -175,6 +209,8 @@ def max_induced_tree_exact(
     search = _search(g, budget)
     full = (1 << g.n) - 1
     for seed in range(g.n):
+        if search.twins[seed]:
+            continue
         universe = full ^ ((1 << (seed + 1)) - 1)
         search.grow(seed, universe)
         if search.best_size == g.n:

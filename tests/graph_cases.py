@@ -38,6 +38,29 @@ def random_graph(n, p, rng):
     )
 
 
+def twin_blowup(rng, max_n=18):
+    """A G(k, p) with every vertex copied 1 to 3 times and the ids shuffled,
+    so copies of one vertex are false twins; k and the copy counts are
+    redrawn until the graph has at most max_n vertices."""
+    while True:
+        copies = [rng.randint(1, 3) for _ in range(rng.randint(1, 9))]
+        if sum(copies) <= max_n:
+            break
+    p = rng.uniform(0.1, 0.9)
+    ids = list(range(sum(copies)))
+    rng.shuffle(ids)
+    groups, start = [], 0
+    for count in copies:
+        groups.append(ids[start:start + count])
+        start += count
+    edges = [
+        (u, v)
+        for a, b in combinations(groups, 2) if rng.random() < p
+        for u in a for v in b
+    ]
+    return Graph(len(ids), edges)
+
+
 def random_instance(rng, max_a=10, max_b=20):
     a = rng.randint(1, max_a)
     items = []

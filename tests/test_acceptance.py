@@ -2,7 +2,7 @@
 line and holding its stated runtime budget.  Run with `pytest -v
 tests/test_acceptance.py` (add -s to see the per-criterion lines).
 
-Criteria 01-05, 07, 08 and 10 assert over the rows of the `bench` suites
+Criteria 01-05, 07, 08, 10 and 11 assert over the rows of the `bench` suites
 at SEED, so the CLI tables and these verdicts come from the same code:
 each criterion checks its row count, that every row verified, and that
 the achieved value holds against the requirement in the row's direction;
@@ -12,6 +12,7 @@ checked as drawn properties in test_mask_kernel.py and test_theorems.py."""
 
 import functools
 import math
+import operator
 import time
 
 import pytest
@@ -20,13 +21,12 @@ from graph_cases import ceil_sqrt
 from induced_trees import (
     OracleBudget,
     admissible_naive,
-    max_tree_through_vertex_exact,
     select_randomized_dyadic,
     select_uniform,
     solve_exact,
 )
 from induced_trees.bench import instance_ensemble, run_suite
-from induced_trees.generators import dyadic_bipartite, ms_through_vertex
+from induced_trees.generators import dyadic_bipartite
 
 SEED = 1
 
@@ -59,6 +59,9 @@ def suite_rows(suite, algorithm, relation, instance=""):
     return picked, elapsed
 
 
+HOLDS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
+
 def check_rows(rows, count, bound=None):
     """Assert the row count and that each row verified and holds in its
     relation's direction; with `bound`, also that each row requires
@@ -68,13 +71,17 @@ def check_rows(rows, count, bound=None):
         if bound is not None:
             assert row["bound_required"] == bound(row), row
         assert row["verified"], row
-        achieved, required = row["bound_achieved"], row["bound_required"]
-        assert achieved >= required if row["relation"] == ">=" else achieved <= required, row
+        assert HOLDS[row["relation"]](row["bound_achieved"], row["bound_required"]), row
 
 
 def layered_m(row):
     """m of an ms-layered(m=...) row, read off its instance name."""
     return int(row["instance"].removeprefix("ms-layered(m=").removesuffix(")"))
+
+
+def through_m(row):
+    """m of an ms-through-vertex(m=...) row, read off its instance name."""
+    return int(row["instance"].removeprefix("ms-through-vertex(m=").removesuffix(")"))
 
 
 def dyadic_k(row):
@@ -201,13 +208,8 @@ def test_criterion_10_reroute_half_bound():
 
 
 def test_criterion_11_through_vertex_upper_bound():
-    started = time.monotonic()
-    values = {}
-    for m in range(2, 6):
-        g, v = ms_through_vertex(m)
-        size, _ = max_tree_through_vertex_exact(g, v)
-        assert size <= m, (m, size)
-        values[m] = size
-    assert values == {2: 2, 3: 3, 4: 4, 5: 5}
-    elapsed = time.monotonic() - started
-    report(11, True, f"through-vertex maxima {values} all <= m", elapsed, 60)
+    rows, elapsed = suite_rows("tightness", "oracle-max-tree-through-v=m", "==")
+    check_rows(rows, 29, bound=through_m)
+    assert [through_m(row) for row in rows] == list(range(2, 31))
+    report(11, True, f"{len(rows)} through-vertex maxima of ms_through_vertex(m) equal m, m=2..30",
+           elapsed, 60)

@@ -493,6 +493,16 @@ class TestBench:
         min_slack = bench.summarize([row])["min_slack"]
         assert min_slack == 0.0 and math.copysign(1, min_slack) == 1
 
+    def test_equality_slack_is_zero_only_when_met(self):
+        # ms_layered(3) has t(G) = 2m - 1 = 5; a requirement of 6 misses by 1.
+        g = ms_layered(3)
+        rows = [bench._row("tightness", "ms-layered(m=3)", "oracle-max-tree=2m-1", g.n, 3,
+                           bench._oracle_equals, g, bound, relation="==") for bound in (5, 6)]
+        assert [row["verified"] for row in rows] == [True, False]
+        met = bench.summarize(rows[:1])["min_slack"]
+        assert met == 0.0 and math.copysign(1, met) == 1
+        assert bench.summarize(rows)["min_slack"] == -1.0
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
         # A count of 0 used to drop every ensemble row and exit 0.
@@ -510,7 +520,7 @@ class TestBench:
         assert record.getMessage().startswith(f"suite claim: {len(rows)} rows in ")
 
     def test_run_suite_rejects_an_unknown_name(self):
-        message = "unknown suite 'nope'; known: triangle-free, kr-free, admissible, claim"
+        message = "unknown suite 'nope'; known: triangle-free, kr-free, admissible, claim, tightness"
         with pytest.raises(ValueError, match=re.escape(message)):
             bench.run_suite("nope", 1)
 

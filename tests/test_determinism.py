@@ -143,14 +143,24 @@ BENCH_ROWS_SHA256 = "6c1f00f3ade05ad80d0efa8484bb9c8bc85f803fe13e6a6dd9f0c7e2647
 _BENCH_COUNTS = {"triangle-free": 20, "kr-free": 20, "admissible": 200, "claim": 50}
 
 
-def _bench_records():
-    for suite, count in _BENCH_COUNTS.items():
+def _bench_records(suites):
+    for suite, count in suites.items():
         for row in run_suite(suite, 1, count):
             yield json.dumps({k: v for k, v in row.items() if k != "wall_time_ms"}, sort_keys=True)
 
 
 def test_bench_rows_match_golden_digest():
-    assert _digest(_bench_records()) == BENCH_ROWS_SHA256
+    assert _digest(_bench_records(_BENCH_COUNTS)) == BENCH_ROWS_SHA256
+
+
+# The tightness suite's rows, timings dropped: the exact maxima of the
+# extremal families, each beside the finder's worst root.  It draws
+# nothing, so it has no count.
+TIGHTNESS_SHA256 = "d2e3a87d1a8b5dc26dc1642533de25bfb44af04fd20b08cc86f6c16c0d9e7921"
+
+
+def test_tightness_rows_match_golden_digest():
+    assert _digest(_bench_records({"tightness": None})) == TIGHTNESS_SHA256
 
 
 # Every solve_exact selection on the seeded weighted instances: the

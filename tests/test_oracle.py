@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 import tracemalloc
 from itertools import combinations
@@ -13,6 +14,7 @@ from graph_cases import (
     cycle_graph,
     path_graph,
     small_graphs,
+    twin_blowup,
 )
 from induced_trees import (
     BudgetExceededError,
@@ -20,6 +22,7 @@ from induced_trees import (
     OracleBudget,
     WeightedBipartiteInstance,
     admissible_naive,
+    format_edge_list,
     is_induced_tree,
     max_induced_tree_exact,
     max_tree_through_vertex_exact,
@@ -82,6 +85,34 @@ def recursive_tree_search(g, v=None):
     else:
         grow(1 << v, 1, 0, masks[v], full ^ (1 << v))
     return best[0], frozenset(u for u in range(g.n) if best[1] >> u & 1)
+
+
+class UntwinnedSearch(oracle._TreeSearch):
+    """The tree search with its lower-twin table zeroed, so the twin rule
+    cuts no child and no seed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.twins = [0] * self.n
+
+
+def all_maxima(g):
+    """The global maximum, then the maximum through each vertex."""
+    return [max_induced_tree_exact(g)] + [max_tree_through_vertex_exact(g, v) for v in range(g.n)]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every tree search the oracle builds while the test runs."""
+    made = []
+
+    class CountedSearch(oracle._TreeSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(oracle, "_TreeSearch", CountedSearch)
+    return made
 
 
 def _plain_naive(inst, alpha):
@@ -197,21 +228,32 @@ class TestMaxInducedTree:
         with pytest.raises(ValueError, match=field if cap != 0 else "positive"):
             OracleBudget(**{field: cap})
 
-    def test_dense_graph_work_stays_bounded(self, monkeypatch):
+    def test_dense_graph_work_stays_bounded(self, searches):
         # 4,865 nodes with both bounds; 7,183 without the push-time room
         # check, 10,703 without the clique cover, 26,993 with neither.
-        searches = []
-
-        class CountedSearch(oracle._TreeSearch):
-            def __init__(self, *args):
-                super().__init__(*args)
-                searches.append(self)
-
-        monkeypatch.setattr(oracle, "_TreeSearch", CountedSearch)
         g = random_kr_free(30, 6, 0.4, 1)
         size, witness = max_induced_tree_exact(g, OracleBudget(max_vertices=30))
         assert size == 11 and is_induced_tree(g, witness)
         assert searches[0].nodes < 6000
+
+    def test_twin_rule_keeps_the_extremal_families_cheap(self, searches):
+        # 336 and 44 nodes with the twin rule; 672,979 and 969,047 without.
+        size, _ = max_induced_tree_exact(ms_layered(6), OracleBudget(max_vertices=36))
+        g, v = ms_through_vertex(10)
+        through, _ = max_tree_through_vertex_exact(g, v, OracleBudget(max_vertices=46))
+        assert (size, through) == (11, 10)
+        assert searches[0].nodes < 1000 and searches[1].nodes < 200
+
+    def test_twin_rule_keeps_sizes_and_witnesses(self, monkeypatch):
+        # Both maxima at every root of 1,500 seeded twin blow-ups (15,499
+        # searches a side, 1,434 graphs with twins), against the same
+        # search with the rule off.
+        rng = random.Random(7)
+        graphs = [twin_blowup(rng) for _ in range(1500)]
+        with_rule = [all_maxima(g) for g in graphs]
+        monkeypatch.setattr(oracle, "_TreeSearch", UntwinnedSearch)
+        for g, expected in zip(graphs, with_rule):
+            assert all_maxima(g) == expected, format_edge_list(g)
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(1, 14))
