@@ -19,28 +19,13 @@ Three constructions:
     shortest path into T plus one color class of T's subtree partition.
 
 find_tree(g, v, r) picks between the first two by r; theorem_bound(n, r)
-is the size they guarantee.  Both run one loop, _grow, over a stack of
-pending (region, root) subproblems, so no chain is too long for the
-interpreter's recursion limit, and builds their certificate, so the
-claimed bound is written once; a one-level step (_tf or _kr) gets each
-region with its vertex count, fixes some tree vertices of it and returns
-the subproblems it leaves.  Runs at many roots of one graph share work
-through the graph's subtree cache: its key is a subproblem that a root's
-first step hands down, (r, region, root), and its value the bitmask of
-every tree vertex fixed at or below it.  The first step itself is not
-cached: it never repeats across roots, and strategies and selections
-come from it.  The cache stops storing once its ints would hold more
-bits than the graph's adjacency masks, so it at most doubles a graph's
-memory; over every root of ms_layered(30) it holds about half the
-masks' bits.  A step splits what is left of its region by searches
-seeded next to the root's neighbourhood (graph._component_masks), which
-leave the last piece unwalked, and tests each attachment vertex's
-mask against each piece, so a step reads masks only for the pieces it
-cuts off, not for the region: on chains the mask reads are linear, though
-every step still builds new n-bit region ints, so time on P_n grows about
-3x per doubling of n (CHANGES.md holds the timings).  Region differences
-are written `a ^ b` with b inside a, and layers expand through
-graph._neighbour_union, so no step builds a negative int.
+is the size they guarantee.  Both finders are one call to _grow, the
+finder core, whose docstring holds the decisions they share: the input
+checks, the step for r, the loop over pending subproblems, the one
+claimed bound and the subtree cache.  A step splits its region with
+graph._component_masks, whose docstring says what a split reads; every
+step still builds new n-bit region ints, so time on P_n grows about 3x
+per doubling of n (CHANGES.md holds the timings).
 Regions, the neighbourhoods _kr hands to Ramsey extraction and the
 subtrees reroute_through_vertex colours are vertex bitmasks over the
 immutable host graph, so no subgraphs are materialized; all finders are
@@ -256,64 +241,81 @@ def _select_attached(masks, nv_mask: int, comp_masks: list[int], select) -> dict
     return {i: a_list[m.bit_length() - 1] for i, m in only.items()}
 
 
-def _grow(g: Graph, v: int, r: int, step, *args) -> TreeCertificate:
-    """The decomposition both finders share, rooted at v.  The top step
-    runs on the whole vertex set at v; a region of at most 2 vertices is
-    taken whole, any other goes to `step(g, region, size, root, *args)`
-    with its vertex count `size`, which returns the tree vertices it fixes
-    (a bitmask), its strategy and its (region, root) subproblems.  Each
-    subproblem the top step hands down is looked up in g's subtree cache
-    under (r, region, root); on a miss `_subtree` solves it and the result
-    is stored, and a hit skips the whole subtree.  Returns the certificate
-    of the union of the fixed vertices, rooted at v, with the top step's
-    strategy; its claimed bound, theorem_bound(n - 1, r) + 1, is written
-    only here.
+def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
+    """The finder core both finders call, rooted at v in a K_r-free graph.
 
-    The cache changes no certificate.  `_tf` and `_kr` are pure functions
-    of g's masks, the region, the root and r, so a cached subtree is the
-    one `_subtree` would build again; the tree is a union, so the order in
-    which subtrees are evaluated does not matter; and the strategy comes
-    from the top step, which is never cached.  Only the top step's
-    subproblems are keys: no top step repeats across roots, and a key per
-    deeper level would hold an n-bit region each, about 400 MB for one
-    root on P_40000, where this holds at most deg(v) entries per root."""
-    whole = (1 << g.n) - 1
-    if g.n <= 2:
-        tree, top, subproblems = whole, "base", []
-    else:
-        tree, top, subproblems = step(g, whole, g.n, v, *args)
+    It runs _check_input, then the K_r check (find_triangle for r = 3,
+    find_clique above), raising one FinderPreconditionError that names r
+    and the clique.  Every step is `_step`, which picks the step for r and
+    returns the tree vertices it fixes (a bitmask), its strategy and its
+    (region, root) subproblems.  The top step runs on the whole vertex set
+    at v.  Returns the certificate of the union of the fixed vertices,
+    rooted at v, with the top step's strategy; its claimed bound,
+    theorem_bound(n - 1, r) + 1, is written only here.
+
+    The subtree cache: each subproblem the top step hands down is looked up
+    in g._subtrees under (r, region, root), whose value is the bitmask of
+    every tree vertex fixed at or below it; on a miss `_subtree` solves it
+    and the result is stored, and a hit skips the whole subtree, so runs at
+    many roots of one graph share work.  A subproblem of at most 2 vertices,
+    which `_step` takes whole, skips both the lookup and the store.  The
+    cache changes no certificate.  `_tf` and `_kr` are pure functions of g's
+    masks, the region, the root and r, so a cached subtree is the one
+    `_subtree` would build again; the tree is a union, so the order in which
+    subtrees are evaluated does not matter; and the strategy comes from the
+    top step, which is never cached.  Only the top step's subproblems are
+    keys: no top step repeats across roots, and a key per deeper level would
+    hold an n-bit region each, about 400 MB for one root on P_40000, where
+    this holds at most deg(v) entries per root.  g._subtree_room is the bit
+    budget left, set on the first store to the bits of g's adjacency masks
+    (the sum of their bit lengths); an entry costs the bit lengths of its
+    region and its value, and one that does not fit is not stored, so the
+    cache at most doubles a graph's memory.  That bound is what holds on a
+    cycle, whose roots share no subproblem."""
+    _check_input(g, v)
+    clique = find_triangle(g) if r == 3 else find_clique(g, r)
+    if clique is not None:
+        raise FinderPreconditionError(
+            f"graph contains a clique of size {r}: {sorted(clique)}", witness=clique
+        )
+    tree, top, subproblems = _step(g, (1 << g.n) - 1, v, r)
     cache = g._subtrees
     for region, root in subproblems:
         key = (r, region, root)
-        below = cache.get(key)
+        below = region if region.bit_count() <= 2 else cache.get(key)
         if below is None:
-            below = _subtree(g, region, root, step, args)
+            below = _subtree(g, region, root, r)
             _store_subtree(g, key, below)
         tree |= below
     bound = theorem_bound(g.n - 1, r) + 1.0
     return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
 
 
-def _subtree(g: Graph, region: int, root: int, step, args) -> int:
+def _step(g: Graph, region: int, root: int, r: int) -> tuple[int, str, list[tuple[int, int]]]:
+    """One decomposition step of the connected `region` at `root`: the
+    region itself if it has at most 2 vertices, else _tf's step for r = 3
+    and _kr's for r >= 4."""
+    size = region.bit_count()
+    if size <= 2:
+        return region, "base", []
+    return (_tf if r == 3 else _kr)(g, region, size, root, r)
+
+
+def _subtree(g: Graph, region: int, root: int, r: int) -> int:
     """The tree vertices fixed at or below the (region, root) subproblem,
     as a bitmask.  Pending subproblems wait on a stack, so no chain is too
     long for the interpreter's recursion limit."""
     tree = 0
     stack = [(region, root)]
     while stack:
-        region, root = stack.pop()
-        size = region.bit_count()
-        if size <= 2:
-            fixed, subproblems = region, []
-        else:
-            fixed, _, subproblems = step(g, region, size, root, *args)
+        fixed, _, subproblems = _step(g, *stack.pop(), r)
         tree |= fixed
         stack.extend(subproblems)
     return tree
 
 
 def _store_subtree(g: Graph, key: tuple[int, int, int], tree: int) -> None:
-    """Cache `tree` under `key` if it fits in g's bit budget (see Graph)."""
+    """Cache `tree` under `key` if it fits in g's bit budget (see _grow)."""
     bits = key[1].bit_length() + tree.bit_length()
     with _SUBTREE_LOCK:
         if g._subtree_room is None:
@@ -326,19 +328,14 @@ def _store_subtree(g: Graph, key: tuple[int, int, int], tree: int) -> None:
 def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
     """Induced tree of size >= sqrt(|V|-1) + 1 containing v, in a connected
     triangle-free graph."""
-    _check_input(g, v)
-    triangle = find_triangle(g)
-    if triangle is not None:
-        raise FinderPreconditionError(
-            f"graph contains triangle {triangle}", witness=triangle
-        )
-    return _grow(g, v, 3, _tf)
+    return _grow(g, v, 3)
 
 
-def _tf(g: Graph, region: int, size: int, v: int) -> tuple[int, str, list[tuple[int, int]]]:
+def _tf(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, list[tuple[int, int]]]:
     """One step in the connected triangle-free `region` of `size` vertices
     rooted at v: the root's star if it meets the bound, else the root alone
-    plus one subproblem per component the weighted selection picks."""
+    plus one subproblem per component the weighted selection picks; r is
+    3, and taken only to share _kr's signature."""
     masks = g.adjacency_masks
     nv_mask = masks[v] & region
     if nv_mask.bit_count() ** 2 >= size - 1:
@@ -357,13 +354,7 @@ def find_tree_kr_free(g: Graph, v: int, r: int) -> TreeCertificate:
     connected graph with no clique of size r (r >= 4)."""
     if r < 4:
         raise ValueError("r must be >= 4")
-    _check_input(g, v)
-    clique = find_clique(g, r)
-    if clique is not None:
-        raise FinderPreconditionError(
-            f"graph contains a clique of size {r}: {sorted(clique)}", witness=clique
-        )
-    return _grow(g, v, r, _kr, r)
+    return _grow(g, v, r)
 
 
 def _choose_branch_pair(

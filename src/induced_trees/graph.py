@@ -144,17 +144,8 @@ class Graph:
     views derived from it.  Connectivity, triangle and clique searches are
     cached lazily, which is safe because instances never change.
 
-    The finders cache decomposition results in `_subtrees`.  The key is a
-    subproblem that a root's first step hands down, `(r, region, root)`;
-    the value is the bitmask of every tree vertex fixed at or below it.
-    Runs at many roots of one graph share these subtrees.  The first step
-    itself, at the whole vertex set, is not cached: no two roots share it,
-    and the deeper steps each hold an n-bit region, so caching every step
-    would cost a bitmask per level.  `_subtree_room` is the bit budget
-    left, set on the first store to the bits of `adjacency_masks` (the
-    sum of their bit lengths); an entry costs the bit lengths of its
-    region and its value, and one that does not fit is not stored, so the
-    cache never holds more bits than the masks do.
+    `_subtrees` and `_subtree_room` are the finders' subtree cache and its
+    bit budget, kept as `finders._grow` describes.
     """
 
     # One slot per cached answer: a misspelt name raises instead of

@@ -1,15 +1,19 @@
 """What the test modules share: builders of the standard graphs, plain-set
-references that never call the package, and the Hypothesis strategies
-that draw graphs.  The module has no `test_` prefix, so pytest collects
-nothing here; the test modules import it by name."""
+references that never call the package, the Hypothesis strategies that
+draw graphs, and one cached run per bench suite.  The module has no
+`test_` prefix, so pytest collects nothing here; the test modules import
+it by name."""
 
+import functools
 import math
+import time
 from collections.abc import Sequence
 from itertools import accumulate, combinations
 
 from hypothesis import strategies as st
 
 from induced_trees import Graph, WeightedBipartiteInstance
+from induced_trees.bench import run_suite
 
 # kernel_graphs spreads vertices over ids below WIDTH, so masks span many
 # machine words.
@@ -203,3 +207,13 @@ def kernel_graphs(draw):
     steps = draw(st.binary(min_size=g.n, max_size=g.n))
     ids = list(accumulate((1 + b * (WIDTH // 30) // 256 for b in steps), initial=-1))[1:]
     return Graph(ids[-1] + 1, [(ids[u], ids[v]) for u, v in g.edges]), ids
+
+
+@functools.cache
+def suite_run(suite, seed, count):
+    """run_suite's rows and the wall time of that one run.  Every test
+    reading a suite at one seed and count shares the run, so a slow suite
+    runs once per test session; callers only read the rows."""
+    started = time.monotonic()
+    rows = run_suite(suite, seed, count)
+    return rows, time.monotonic() - started

@@ -10,14 +10,13 @@ where the row carries what the paper's bound needs, also that the row
 requires it.  The mask kernel, both theorems and the rerouting claim are
 checked as drawn properties in test_mask_kernel.py and test_theorems.py."""
 
-import functools
 import math
 import operator
 import time
 
 import pytest
 
-from graph_cases import ceil_sqrt
+from graph_cases import ceil_sqrt, suite_run
 from induced_trees import (
     OracleBudget,
     admissible_naive,
@@ -25,7 +24,7 @@ from induced_trees import (
     select_uniform,
     solve_exact,
 )
-from induced_trees.bench import instance_ensemble, run_suite
+from induced_trees.bench import instance_ensemble
 from induced_trees.generators import dyadic_bipartite
 
 SEED = 1
@@ -38,19 +37,11 @@ def report(num, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {num} exceeded runtime budget: {elapsed:.1f}s"
 
 
-@functools.cache
-def suite_run(suite):
-    """The suite's rows at SEED with its default counts, and the wall time
-    of that one run; every criterion reading the suite shares both."""
-    started = time.monotonic()
-    rows = run_suite(suite, SEED)
-    return rows, time.monotonic() - started
-
-
 def suite_rows(suite, algorithm, relation, instance=""):
     """The suite's rows of one algorithm and relation whose instance name
-    starts with `instance`, and the suite run's wall time."""
-    rows, elapsed = suite_run(suite)
+    starts with `instance`, and the wall time of the suite's one run at SEED
+    with its default counts."""
+    rows, elapsed = suite_run(suite, SEED, None)
     picked = [
         row for row in rows
         if row["algorithm"] == algorithm and row["relation"] == relation

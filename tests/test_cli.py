@@ -83,12 +83,14 @@ class TestFind:
         assert report["bound_required"] == pytest.approx(5.0)
         assert report["bound_achieved"] >= 5
 
-    def test_clique_input_reports_witness(self, tmp_path, capsys):
-        path = tmp_path / "k4.txt"
-        save_edge_list(Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]), path)
-        code, _, err = run(capsys, "find", str(path), "--root", "0", "--r", "4")
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_clique_input_reports_witness(self, tmp_path, capsys, r):
+        # Both finders raise the one precondition message of the finder core.
+        path = tmp_path / f"k{r}.txt"
+        save_edge_list(Graph(r, [(i, j) for i in range(r) for j in range(i + 1, r)]), path)
+        code, _, err = run(capsys, "find", str(path), "--root", "0", "--r", str(r))
         assert code == 2
-        assert "clique" in err and "[0, 1, 2, 3]" in err
+        assert f"clique of size {r}: {list(range(r))}" in err
 
     def test_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
         n = sys.getrecursionlimit() + 100

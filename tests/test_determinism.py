@@ -9,7 +9,7 @@ import math
 import random
 from functools import cache
 
-from graph_cases import cycle_graph, path_graph
+from graph_cases import cycle_graph, path_graph, suite_run
 from induced_trees import (
     Graph,
     OracleBudget,
@@ -28,7 +28,6 @@ from induced_trees.bench import (
     connected_ensemble,
     instance_ensemble,
     kr_free_ensemble,
-    run_suite,
     triangle_free_ensemble,
 )
 from induced_trees.generators import (
@@ -145,7 +144,7 @@ _BENCH_COUNTS = {"triangle-free": 20, "kr-free": 20, "admissible": 200, "claim":
 
 def _bench_records(suites):
     for suite, count in suites.items():
-        for row in run_suite(suite, 1, count):
+        for row in suite_run(suite, 1, count)[0]:
             yield json.dumps({k: v for k, v in row.items() if k != "wall_time_ms"}, sort_keys=True)
 
 

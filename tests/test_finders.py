@@ -461,6 +461,8 @@ class TestSubtreeCache:
         for v in data.draw(st.permutations(range(g.n))):
             for s in (r, r + 1):
                 assert find_tree(g, v, s).to_json() == fresh_json(g, v, s)
+        # A region of at most 2 vertices needs no step, so it is never cached.
+        assert all(region.bit_count() >= 3 for _, region, _ in g._subtrees)
 
     def test_the_bit_budget_binds_on_a_cycle(self, monkeypatch):
         # Each root of C_200 hands down its own subproblem, of about 400
