@@ -36,16 +36,59 @@ from .oracle import BudgetExceededError, OracleBudget
 
 log = logging.getLogger(__name__)
 
+# `gen` predicts the size of what it would build from the parameters alone
+# and refuses (exit 2) anything above this cap, before it allocates.  A
+# graph's size is its n(n-1)/2 vertex pairs: the random generators draw a
+# coin for each, and they bound the edges and the neighbour-mask bits of
+# every graph.  An instance's size is its item-id incidences, the ids
+# listed over all items, which bound its item count.
+GEN_MAX_SIZE = 10**8
+
+
+def _line_graph_vertices(r: int, depth: int) -> int:
+    """Edges of the tree behind `line_graph_balanced_tree(r, depth)`, summed
+    level by level and only until they pass GEN_MAX_SIZE, so a huge depth
+    costs nothing; 0 when r < 4, which the generator rejects."""
+    n, level = 0, r - 1
+    for _ in range(depth if r >= 4 else 0):
+        n += level
+        if n > GEN_MAX_SIZE:
+            break
+        level *= r - 2
+    return n
+
+
+def _dyadic_incidences(k: int) -> int:
+    """Sum over j <= k of 2^k items with 2^j ids each; k is clamped at 64,
+    far past any cap, so the integers stay small."""
+    k = min(max(k, 0), 64)
+    return (1 << k) * ((2 << k) - 1)
+
+
+# name -> (generator, its parameters, the predicted vertex count).  A count
+# is at most 0 where its size parameter is out of the generator's range, so
+# the generator's own message shows.
 GRAPH_GENERATORS = {
-    "ms-layered": (generators.ms_layered, ("m",)),
-    "ms-through-vertex": (lambda m: generators.ms_through_vertex(m)[0], ("m",)),
-    "line-graph-tree": (generators.line_graph_balanced_tree, ("r", "depth")),
-    "random-triangle-free": (generators.random_triangle_free, ("n", "p", "seed")),
-    "random-kr-free": (generators.random_kr_free, ("n", "r", "p", "seed")),
+    "ms-layered": (generators.ms_layered, ("m",), lambda m: m * m if m >= 2 else 0),
+    "ms-through-vertex": (
+        lambda m: generators.ms_through_vertex(m)[0],
+        ("m",),
+        lambda m: 1 + m * (m - 1) // 2 if m >= 2 else 0,
+    ),
+    "line-graph-tree": (
+        generators.line_graph_balanced_tree, ("r", "depth"), _line_graph_vertices
+    ),
+    "random-triangle-free": (
+        generators.random_triangle_free, ("n", "p", "seed"), lambda n, p, seed: n
+    ),
+    "random-kr-free": (
+        generators.random_kr_free, ("n", "r", "p", "seed"), lambda n, r, p, seed: n
+    ),
 }
+# name -> (generator, its parameters, the predicted item-id incidences).
 INSTANCE_GENERATORS = {
-    "dyadic": (generators.dyadic_bipartite, ("k",)),
-    "alpha-counterexample": (generators.alpha_counterexample, ("t",)),
+    "dyadic": (generators.dyadic_bipartite, ("k",), _dyadic_incidences),
+    "alpha-counterexample": (generators.alpha_counterexample, ("t",), lambda t: 2 * max(t, 0)),
 }
 
 
@@ -118,10 +161,21 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _check_gen_size(name: str, size: int, unit: str) -> None:
+    if size > GEN_MAX_SIZE:
+        raise ValueError(
+            f"gen {name}: predicted size at least {size} {unit}, above the cap "
+            f"of {GEN_MAX_SIZE} (cli.GEN_MAX_SIZE)"
+        )
+
+
 def _cmd_gen(args) -> int:
     if args.name in GRAPH_GENERATORS:
-        fn, params = GRAPH_GENERATORS[args.name]
-        g = fn(*_require(args, params, args.name))
+        fn, params, vertices = GRAPH_GENERATORS[args.name]
+        values = _require(args, params, args.name)
+        n = max(vertices(*values), 0)
+        _check_gen_size(args.name, n * (n - 1) // 2, "vertex pairs")
+        g = fn(*values)
         if args.out:
             save_edge_list(g, args.out)
         else:
@@ -130,8 +184,10 @@ def _cmd_gen(args) -> int:
         if args.name == "ms-through-vertex":
             print("distinguished root vertex: 0", file=sys.stderr)
     else:
-        fn, params = INSTANCE_GENERATORS[args.name]
-        inst = fn(*_require(args, params, args.name))
+        fn, params, incidences = INSTANCE_GENERATORS[args.name]
+        values = _require(args, params, args.name)
+        _check_gen_size(args.name, incidences(*values), "item-id incidences")
+        inst = fn(*values)
         if args.out:
             save_instance(inst, args.out)
         else:

@@ -6,11 +6,27 @@ the dyadic and two-weight bipartite instances exhibit tightness of the
 selection guarantees.  Random generators are fully deterministic given
 (params, seed) - regeneration reproduces byte-identical edge lists - and
 keep their adjacency as neighbour bitmasks until they build the Graph.
+
+A random graph's edge coins are the n(n-1)/2 tests `rng.random() < p`
+over the vertex pairs in order, and all n(n-1)/2 are still drawn.
+`_coin_hits` decides them in blocks of Mersenne Twister words instead of
+one call each.  CPython's `random()` is (a >> 5 << 26 | b >> 6) / 2**53
+for the next two 32-bit words a and b, and `getrandbits(64 k)` returns the
+next 2k words as one integer, the first word lowest.  So a block yields
+the same words, read in the same order, and the same coins: the edge
+lists are byte-identical to the per-pair loop, and the generator ends in
+the same state.  This rests on CPython's `random()`/`getrandbits` word
+layout: a test against the per-draw loop in `tests/test_generators.py`
+and `GENERATOR_SHA256` pin it on Python 3.10-3.13.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import struct
+from collections.abc import Iterator
+from itertools import compress
 
 from .admissible import WeightedBipartiteInstance
 from .graph import Graph, _first_clique, _iter_edges, _low_bit, _sweep_region
@@ -128,6 +144,51 @@ def alpha_counterexample(t: int) -> WeightedBipartiteInstance:
     return WeightedBipartiteInstance(t, items)
 
 
+# Draws per getrandbits call, 8 bytes each, so a block is 32 KB.
+_COIN_BLOCK = 4096
+_BLOCK_INDICES = tuple(range(_COIN_BLOCK))
+_WORD_PAIR = struct.Struct("<II")
+
+
+def _coin_hits(rng: random.Random, count: int, p: float) -> Iterator[int]:
+    """The indices i < count, ascending, at which the i-th of `count` calls
+    of `rng.random()` would return less than p; consumes the same 2 * count
+    words of `rng`.
+
+    A draw's `random()` is x / 2**53 with x = (a >> 5 << 26) | (b >> 6),
+    and p * 2**53 is exact, so `random() < p` holds exactly when
+    x < t = ceil(p * 2**53).  The largest a that can pass has top byte
+    `top`: a draw whose a has a lower top byte passes whatever b is, one
+    with a higher top byte fails, and only those with top byte equal to
+    `top` take the integer test.  Byte translation does the rest in C, and
+    the hits come out by `find` in a sparse block or by `compress` in a
+    dense one.
+    """
+    t = math.ceil(p * 2.0**53)
+    top = ((t - 1) >> 26 << 5 | 31) >> 24
+    # 1 passes, 0 fails, 2 takes the test; at t = 0, top is -1 and the test
+    # byte 0 passes nothing, since no x is below 0.
+    table = (b"\x01" * top + b"\x02").ljust(256, b"\x00")
+    for start in range(0, count, _COIN_BLOCK):
+        k = min(_COIN_BLOCK, count - start)
+        raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        passes = bytearray(raw[3::8].translate(table))
+        i = passes.find(2)
+        while i >= 0:
+            a, b = _WORD_PAIR.unpack_from(raw, 8 * i)
+            passes[i] = (a >> 5 << 26 | b >> 6) < t
+            i = passes.find(2, i + 1)
+        # A find per hit costs about as much as compress spends on 16 draws.
+        if passes.count(1) * 16 < k:
+            i = passes.find(1)
+            while i >= 0:
+                yield start + i
+                i = passes.find(1, i + 1)
+        else:
+            for i in compress(_BLOCK_INDICES, passes):
+                yield start + i
+
+
 def random_triangle_free(n: int, p: float, seed: int) -> Graph:
     """Seeded connected triangle-free graph: edge sampling at density p,
     triangle repair, then bridges between components."""
@@ -147,13 +208,17 @@ def random_kr_free(n: int, r: int, p: float, seed: int) -> Graph:
         raise ValueError("r must be >= 2")
     if r == 2 and n >= 2:
         raise ValueError("r=2 forbids all edges, so no connected graph on n >= 2 exists")
-    rng = random.Random(seed)
     masks = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
+    # Coin i is the i-th pair (u, v), u < v, in row order; row u's pairs
+    # end before index row_end, so v = i - row_end + n.
+    u, row_end = 0, n - 1
+    for i in _coin_hits(random.Random(seed), n * (n - 1) // 2, p):
+        while i >= row_end:
+            u += 1
+            row_end += n - 1 - u
+        v = i - row_end + n
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
 
     # Deletions never create cliques, so no clique starts before the one
     # just cleared, and each scan resumes at that clique's first vertex.

@@ -72,6 +72,55 @@ class TestGen:
         assert WeightedBipartiteInstance.from_json(out) == dyadic_bipartite(2)
 
 
+class TestGenCap:
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (("ms-layered", "--m", "3000"), 40499995500000),
+            (("dyadic", "--k", "30"), 2305843008139952128),
+            (("random-triangle-free", "--n", "1000000", "--p", "0.000004", "--seed", "1"),
+             499999500000),
+        ],
+        ids=["ms-layered", "dyadic", "random-triangle-free"],
+    )
+    def test_refuses_before_allocating(self, capsys, argv, size):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert f"at least {size} " in err and "internal failure" not in err
+
+    @pytest.mark.parametrize(
+        "argv, unit, size",
+        [
+            (("ms-layered", "--m", "4"), "vertex pairs", 120),
+            (("ms-through-vertex", "--m", "5"), "vertex pairs", 55),
+            (("line-graph-tree", "--r", "5", "--depth", "3"), "vertex pairs", 1326),
+            (("random-triangle-free", "--n", "30", "--p", "0.1"), "vertex pairs", 435),
+            (("random-kr-free", "--n", "30", "--r", "4", "--p", "0.1"), "vertex pairs", 435),
+            (("dyadic", "--k", "3"), "item-id incidences", 120),
+            (("alpha-counterexample", "--t", "6"), "item-id incidences", 12),
+        ],
+        ids=["ms-layered", "ms-through-vertex", "line-graph-tree", "random-triangle-free",
+             "random-kr-free", "dyadic", "alpha-counterexample"],
+    )
+    def test_predicted_size_is_exact_at_a_patched_cap(
+        self, tmp_path, capsys, monkeypatch, argv, unit, size
+    ):
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "GEN_MAX_SIZE", size - 1)
+        code, _, err = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert f"at least {size} {unit}, above the cap of {size - 1}" in err
+        monkeypatch.setattr(cli, "GEN_MAX_SIZE", size)
+        code, _, _ = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 0
+        if unit == "vertex pairs":
+            n = load_edge_list(out).n
+            assert n * (n - 1) // 2 == size
+        else:
+            inst = WeightedBipartiteInstance.from_json(out.read_text())
+            assert sum(m.bit_count() for m in inst.nbr_masks) == size
+
+
 class TestFind:
     def test_layered_m5_verified_with_sqrt_bound(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -12,6 +13,8 @@ from induced_trees import (
     reduce_instance,
 )
 from induced_trees.generators import (
+    _COIN_BLOCK,
+    _coin_hits,
     alpha_counterexample,
     dyadic_bipartite,
     line_graph_balanced_tree,
@@ -207,3 +210,40 @@ class TestRandomKrFree:
             n = rng.randint(2, 14)
             g = random_kr_free(n, n + 1, rng.random(), rng.randrange(2 ** 32))
             assert is_connected(g)
+
+
+def _per_draw_hits(rng, count, p):
+    """The per-pair loop that `_coin_hits` replaces."""
+    return [i for i in range(count) if rng.random() < p]
+
+
+def _assert_same_coins(count, p, seed):
+    block, loop = random.Random(seed), random.Random(seed)
+    assert list(_coin_hits(block, count, p)) == _per_draw_hits(loop, count, p)
+    assert block.random() == loop.random()
+
+
+class TestCoinHits:
+    """The block sampler decides the same coins as one `rng.random() < p`
+    per draw, and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, _COIN_BLOCK - 1, _COIN_BLOCK, _COIN_BLOCK + 1, 2 * _COIN_BLOCK + 3]
+    )
+    @pytest.mark.parametrize("p", [0.0, 1.0, 5e-324, 4 / 3000, 0.5, 0.9])
+    def test_block_counts(self, count, p):
+        _assert_same_coins(count, p, count)
+
+    def test_candidate_byte_boundaries(self):
+        # At p = k/256 the passing draws are exactly those whose top byte of
+        # the first word is below k: one neighbour of each p moves that
+        # boundary, the other does not.  Below p = 1/16 the hits of a block
+        # come out by find, above it by compress.
+        drawn = random.Random(3)
+        ps = [math.nextafter(1.0, 0.0)]
+        for k in range(1, 256):
+            q = k / 256
+            ps += [math.nextafter(q, 0.0), q, math.nextafter(q, 1.0)]
+        ps += [drawn.random() for _ in range(20)]
+        for seed, p in enumerate(ps):
+            _assert_same_coins(300, p, seed)
