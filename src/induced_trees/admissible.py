@@ -50,8 +50,9 @@ __all__ = [
 
 DEFAULT_EXHAUSTION_LIMIT = 24
 
-# Absolute slack on the selection guarantees; they are exact over the
-# reals, this only absorbs sqrt() rounding.
+# Absolute slack wherever a size or a value meets a sqrt or log bound: the
+# selection guarantees here and the tree sizes the finders' verdicts check.
+# The bounds are exact over the reals; this only absorbs the rounding.
 LEMMA_SLACK = 1e-9
 
 

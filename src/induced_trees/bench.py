@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 import time
 from functools import partial
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import finders, generators, oracle
 from .admissible import (
@@ -127,23 +128,18 @@ def _finder_row(suite, name, g, r, roots=None) -> dict:
                 g, roots, finders.theorem_bound(g.n, r), partial(finders.find_tree, g, r=r))
 
 
-def _oracle_below(g: Graph, bound: int) -> tuple:
-    size, _ = oracle.max_induced_tree_exact(
-        g, oracle.OracleBudget(max_vertices=25, time_limit=120.0)
-    )
-    return float(bound), size, size <= bound
-
-
-def _oracle_equals(g: Graph, bound: int, v: Optional[int] = None) -> tuple:
+def _oracle_check(
+    g: Graph, bound: int, holds: Callable[[int, int], bool], v: Optional[int] = None
+) -> tuple:
     """t(G), or with v the maximum through v, against `bound`; verified when
-    the two are equal and the witness is an induced tree of that size (and
-    holds v)."""
+    holds(size, bound) and the witness is an induced tree of that size (and
+    contains v)."""
     budget = oracle.OracleBudget(max_vertices=g.n, time_limit=120.0)
     if v is None:
         size, witness = oracle.max_induced_tree_exact(g, budget)
     else:
         size, witness = oracle.max_tree_through_vertex_exact(g, v, budget)
-    ok = size == bound == len(witness) and is_induced_tree(g, witness)
+    ok = holds(size, bound) and size == len(witness) and is_induced_tree(g, witness)
     return float(bound), size, ok and (v is None or v in witness)
 
 
@@ -160,7 +156,7 @@ def suite_triangle_free(seed: int, count: Optional[int] = None) -> list[dict]:
         g = generators.ms_layered(m)
         rows.append(
             _row("triangle-free", f"ms-layered(m={m})", "oracle-max-tree<=2m-1", g.n, 3,
-                 _oracle_below, g, 2 * m - 1, relation="<=")
+                 _oracle_check, g, 2 * m - 1, operator.le, relation="<=")
         )
     n_graphs = count if count is not None else 500
     for name, g in triangle_free_ensemble(seed, n_graphs):
@@ -193,20 +189,20 @@ def suite_tightness(seed: int, count: Optional[int] = None) -> list[dict]:
         g = generators.ms_layered(m)
         name = f"ms-layered(m={m})"
         rows.append(_row("tightness", name, "oracle-max-tree=2m-1", g.n, 3,
-                         _oracle_equals, g, 2 * m - 1, relation="=="))
+                         _oracle_check, g, 2 * m - 1, operator.eq, relation="=="))
         rows.append(_finder_row("tightness", name, g, 3, roots=range(g.n)))
     for m in range(2, 31):
         g, v = generators.ms_through_vertex(m)
         name = f"ms-through-vertex(m={m})"
         rows.append(_row("tightness", name, "oracle-max-tree-through-v=m", g.n, 3,
-                         _oracle_equals, g, m, v, relation="=="))
+                         _oracle_check, g, m, operator.eq, v, relation="=="))
         rows.append(_finder_row("tightness", name, g, 3, roots=range(g.n)))
     for r, depths in ((4, range(1, 8)), (5, range(1, 6))):
         for depth in depths:
             g = generators.line_graph_balanced_tree(r, depth)
             name = f"line-graph-tree(r={r},depth={depth})"
             rows.append(_row("tightness", name, "oracle-max-tree=2depth", g.n, r,
-                             _oracle_equals, g, 2 * depth, relation="=="))
+                             _oracle_check, g, 2 * depth, operator.eq, relation="=="))
             rows.append(_finder_row("tightness", name, g, r, roots=range(g.n)))
     return rows
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .admissible import WeightedBipartiteInstance, select_uniform, select_weighted
+from .admissible import LEMMA_SLACK, WeightedBipartiteInstance, select_uniform, select_weighted
 from .graph import (
     Graph,
     _component_masks,
@@ -80,9 +80,6 @@ log = logging.getLogger(__name__)
 # Guards every graph's subtree budget, so concurrent finders cannot both
 # spend the last of it; stores are at most deg(v) per root.
 _SUBTREE_LOCK = threading.Lock()
-
-# Slack for comparing integer sizes against sqrt/log bounds.
-BOUND_EPS = 1e-9
 
 NOT_INDUCED_TREE = "not-induced-tree"
 ROOT_MISSING = "root-missing"
@@ -165,7 +162,7 @@ def certificate_failure(g: Graph, cert: TreeCertificate) -> Optional[str]:
         return NOT_INDUCED_TREE
     if cert.root not in vs:
         return ROOT_MISSING
-    if len(vs) < cert.claimed_bound - BOUND_EPS:
+    if len(vs) < cert.claimed_bound - LEMMA_SLACK:
         return BOUND_UNMET
     return None
 
@@ -183,7 +180,7 @@ def _report_failure(g: Graph, cert: TreeCertificate, root: int, required: float)
         return failure
     if cert.root != root:
         return ROOT_MISSING
-    if cert.size < required - BOUND_EPS:
+    if cert.size < required - LEMMA_SLACK:
         return BOUND_UNMET
     return None
 

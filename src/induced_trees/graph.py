@@ -242,13 +242,26 @@ def _component_masks(masks: Sequence[int], region: int, seeds: int) -> list[int]
     N(v).
 
     Each seed starts its own search, and the searches grow one BFS layer
-    per round: two that meet merge, and one whose frontier empties is a
-    finished component.  Once at most one search is left, its component is
-    what the finished ones leave of the region, and is never walked.  So
-    the cost follows the pieces cut off, not the region: a path with one
-    seed reads no mask at all.  Every search's visited set stays inside
-    the region (visited ⊆ region), so `region ^ visited` is what it has
-    not reached yet.
+    per round, in seed order.  A search whose visited set meets one that
+    an earlier search of the round has visited is dropped: the two lie in
+    one component, whose first search is never dropped and goes on to
+    reach all of it.  A search whose frontier empties is a finished
+    component.  Once at most one search is left, its component is what the
+    finished ones leave of the region, and is never walked.  So the cost
+    follows the pieces cut off, not the region: a path with one seed reads
+    no mask at all, and a split takes at most one round more than the
+    diameter of the slowest piece that is not the last one left.  Every
+    search's visited set stays inside the region (visited ⊆ region), so
+    `region ^ visited` is what it has not reached yet.
+
+    Merging the searches that meet instead reads about 40% more masks on
+    sparse random graphs, but does one thing better: a piece with many
+    spread-out seeds finishes once the gaps between them are walked, where
+    dropping waits, unless the piece is the last one left, for its first
+    seed's search to cover it.  On a comb, a 200-vertex path carrying 50
+    seeds beside a 3,000-vertex random triangle-free piece, the first split
+    reads 3,157 masks where merging reads 359, still fewer than the
+    region's 3,200 vertices.
     """
     comps: list[int] = []
     # (visited, frontier) per search; visited sets are disjoint between rounds.
@@ -259,19 +272,11 @@ def _component_masks(masks: Sequence[int], region: int, seeds: int) -> list[int]
         for visited, frontier in live:
             frontier = _neighbour_union(masks, frontier) & (region ^ visited)
             visited |= frontier
-            if visited & claimed:
-                keep = []
-                for other in grown:
-                    if other[0] & visited:
-                        visited |= other[0]
-                        frontier |= other[1]
-                    else:
-                        keep.append(other)
-                grown = keep + [(visited, frontier)]
-            elif frontier:
-                grown.append((visited, frontier))
-            else:
-                comps.append(visited)
+            if not visited & claimed:
+                if frontier:
+                    grown.append((visited, frontier))
+                else:
+                    comps.append(visited)
             claimed |= visited
         live = grown
     rest = region

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import operator
 import os
 import re
 import subprocess
@@ -539,7 +540,7 @@ class TestBench:
         # The largest induced tree of ms_layered(3) has exactly 2m - 1 = 5 vertices.
         g = ms_layered(3)
         row = bench._row("triangle-free", "ms-layered(m=3)", "oracle-max-tree<=2m-1", g.n, 3,
-                         bench._oracle_below, g, 5, relation="<=")
+                         bench._oracle_check, g, 5, operator.le, relation="<=")
         assert row["bound_achieved"] == row["bound_required"] and row["verified"]
         min_slack = bench.summarize([row])["min_slack"]
         assert min_slack == 0.0 and math.copysign(1, min_slack) == 1
@@ -548,7 +549,8 @@ class TestBench:
         # ms_layered(3) has t(G) = 2m - 1 = 5; a requirement of 6 misses by 1.
         g = ms_layered(3)
         rows = [bench._row("tightness", "ms-layered(m=3)", "oracle-max-tree=2m-1", g.n, 3,
-                           bench._oracle_equals, g, bound, relation="==") for bound in (5, 6)]
+                           bench._oracle_check, g, bound, operator.eq, relation="==")
+                for bound in (5, 6)]
         assert [row["verified"] for row in rows] == [True, False]
         met = bench.summarize(rows[:1])["min_slack"]
         assert met == 0.0 and math.copysign(1, met) == 1

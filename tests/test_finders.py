@@ -32,6 +32,7 @@ from induced_trees import (
     theorem_bound,
     verify_certificate,
 )
+from induced_trees.admissible import LEMMA_SLACK
 from induced_trees.generators import (
     line_graph_balanced_tree,
     ms_layered,
@@ -272,10 +273,10 @@ class TestVerifyCertificate:
         assert finders._report_failure(cycle_graph(4), cert, root, required) == failure
 
     def test_size_at_the_slack_edge_passes(self):
-        # (3 + BOUND_EPS) - BOUND_EPS is 3.0 exactly, so P_3 itself meets a
-        # claimed and a required bound of 3 + BOUND_EPS.
-        bound = 3 + finders.BOUND_EPS
-        assert bound - finders.BOUND_EPS == 3.0
+        # (3 + LEMMA_SLACK) - LEMMA_SLACK is 3.0 exactly, so P_3 itself meets
+        # a claimed and a required bound of 3 + LEMMA_SLACK.
+        bound = 3 + LEMMA_SLACK
+        assert bound - LEMMA_SLACK == 3.0
         cert = TreeCertificate(frozenset({0, 1, 2}), 0, bound)
         assert certificate_failure(path_graph(3), cert) is None
         assert finders._report_failure(path_graph(3), cert, 0, bound) is None

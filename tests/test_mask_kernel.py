@@ -1,8 +1,8 @@
 """The bitmask kernel in graph.py, checked against set-based references on
 masks whose bits reach about 4096, where ints span many machine words;
 mask-read counts that fail if a component search walks the whole region
-again; and the kernel rule of graph.py's docstring, checked on the
-package source."""
+again or merges the searches that meet; and the kernel rule of graph.py's
+docstring, checked on the package source."""
 
 import ast
 from itertools import combinations
@@ -31,7 +31,7 @@ from induced_trees import (
     is_connected,
     is_induced_tree,
 )
-from induced_trees.generators import ms_layered
+from induced_trees.generators import ms_layered, random_triangle_free
 from induced_trees.graph import (
     _bfs_sweep,
     _component_masks,
@@ -95,6 +95,37 @@ def test_first_split_of_a_cycle_reads_at_most_n_masks():
     seeds = _neighbour_union(masks.masks, nv_mask) & rest
     assert _component_masks(masks, rest, seeds) == [rest]
     assert masks.reads <= n
+
+
+def first_split_reads(g, roots):
+    """Mask reads of the component searches of each root's first split:
+    the region without N[v], seeded with the vertices next to N(v)."""
+    masks = CountingMasks(g.adjacency_masks)
+    everything = (1 << g.n) - 1
+    for v in roots:
+        nv_mask = masks.masks[v]
+        rest = everything ^ nv_mask ^ (1 << v)
+        _component_masks(masks, rest, _neighbour_union(masks.masks, nv_mask) & rest)
+    return masks.reads
+
+
+def test_searches_that_meet_are_dropped_not_merged():
+    # Merging the searches that meet reads 6,250 masks here, dropping the
+    # later one 4,491; the ceiling lies between.
+    g = random_triangle_free(3000, 4 / 3000, 3000)
+    assert first_split_reads(g, range(0, 3000, 150)) <= 5400
+
+
+def test_first_split_of_a_comb_reads_at_most_its_region():
+    # A 200-vertex path with a seed on every 4th vertex beside a 3,000-vertex
+    # random piece with one seed: the path's first search takes 200 rounds,
+    # so the random piece is walked in full (3,157 reads; merging the
+    # path's searches reads 359), still within one walk of the region.
+    piece = random_triangle_free(3000, 4 / 3000, 3000)
+    hub, root = 3200, 3201
+    edges = list(piece.edges) + [(i, i + 1) for i in range(3000, 3199)]
+    edges += [(hub, x) for x in range(3000, 3200, 4)] + [(hub, 0), (hub, root)]
+    assert first_split_reads(Graph(3202, edges), [root]) <= 3200
 
 
 def test_finding_on_a_path_reads_linearly_many_masks():
