@@ -82,7 +82,8 @@ class WeightedBipartiteInstance:
     """Bipartite A/B structure with nonnegative weights on the B side.
 
     Every B-item must have degree >= 1 and all neighbor ids must be below
-    a_count.  Stores a_count, `weights` and `nbr_masks` (bit a of item i's
+    a_count, and the weights, each raised to at least 1, must have a
+    finite float sum.  Stores a_count, `weights` and `nbr_masks` (bit a of item i's
     mask is set when i sees A-id a); `b_items` is a view built from the
     masks on first read.
     """
@@ -112,6 +113,12 @@ class WeightedBipartiteInstance:
                 raise ValueError(f"b_items[{idx}]: weight must be a nonnegative real")
             weights.append(w)
             masks.append(mask)
+        # Every objective, the sum of w^alpha for 0 < alpha <= 1, is at most
+        # this sum, so a finite one keeps every later fsum finite.
+        try:
+            math.fsum(max(w, 1.0) for w in weights)
+        except OverflowError:
+            raise ValueError("the total weight overflows a float") from None
         self.a_count = a_count
         self.weights = tuple(weights)
         self.nbr_masks = tuple(masks)

@@ -184,26 +184,19 @@ def suite_tightness(seed: int, count: Optional[int] = None) -> list[dict]:
     the maximum through v of ms_through_vertex(m) = m for m 2-30, and
     t(line_graph_balanced_tree(r, d)) = 2d for r = 4, d <= 7 and r = 5,
     d <= 5.  Nothing is drawn, so seed and count change nothing."""
+    # (name, graph, through-vertex or None, r, exact maximum, label)
+    cases = [(f"ms-layered(m={m})", generators.ms_layered(m), None, 3, 2 * m - 1,
+              "oracle-max-tree=2m-1") for m in range(2, 21)]
+    cases += [(f"ms-through-vertex(m={m})", *generators.ms_through_vertex(m), 3, m,
+               "oracle-max-tree-through-v=m") for m in range(2, 31)]
+    cases += [(f"line-graph-tree(r={r},depth={d})", generators.line_graph_balanced_tree(r, d),
+               None, r, 2 * d, "oracle-max-tree=2depth")
+              for r, depths in ((4, range(1, 8)), (5, range(1, 6))) for d in depths]
     rows = []
-    for m in range(2, 21):
-        g = generators.ms_layered(m)
-        name = f"ms-layered(m={m})"
-        rows.append(_row("tightness", name, "oracle-max-tree=2m-1", g.n, 3,
-                         _oracle_check, g, 2 * m - 1, operator.eq, relation="=="))
-        rows.append(_finder_row("tightness", name, g, 3, roots=range(g.n)))
-    for m in range(2, 31):
-        g, v = generators.ms_through_vertex(m)
-        name = f"ms-through-vertex(m={m})"
-        rows.append(_row("tightness", name, "oracle-max-tree-through-v=m", g.n, 3,
-                         _oracle_check, g, m, operator.eq, v, relation="=="))
-        rows.append(_finder_row("tightness", name, g, 3, roots=range(g.n)))
-    for r, depths in ((4, range(1, 8)), (5, range(1, 6))):
-        for depth in depths:
-            g = generators.line_graph_balanced_tree(r, depth)
-            name = f"line-graph-tree(r={r},depth={depth})"
-            rows.append(_row("tightness", name, "oracle-max-tree=2depth", g.n, r,
-                             _oracle_check, g, 2 * depth, operator.eq, relation="=="))
-            rows.append(_finder_row("tightness", name, g, r, roots=range(g.n)))
+    for name, g, v, r, exact, label in cases:
+        rows.append(_row("tightness", name, label, g.n, r, _oracle_check,
+                         g, exact, operator.eq, v, relation="=="))
+        rows.append(_finder_row("tightness", name, g, r, roots=range(g.n)))
     return rows
 
 

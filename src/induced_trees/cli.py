@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import bench, finders, generators, oracle
-from .admissible import InstanceParseError, _instance_of, _instance_payload, save_instance
+from .admissible import InstanceParseError, _instance_of, _instance_payload
 from .finders import FinderPreconditionError, TreeCertificate
 from .graph import (
     EdgeListParseError,
@@ -30,7 +30,6 @@ from .graph import (
     format_edge_list,
     load_edge_list,
     parse_edge_list,
-    save_edge_list,
 )
 from .oracle import BudgetExceededError, OracleBudget
 
@@ -43,6 +42,7 @@ log = logging.getLogger(__name__)
 # every graph.  An instance's size is its item-id incidences, the ids
 # listed over all items, which bound its item count.
 GEN_MAX_SIZE = 10**8
+_PAIRS, _INCIDENCES = "vertex pairs", "item-id incidences"
 
 
 def _line_graph_vertices(r: int, depth: int) -> int:
@@ -65,30 +65,31 @@ def _dyadic_incidences(k: int) -> int:
     return (1 << k) * ((2 << k) - 1)
 
 
-# name -> (generator, its parameters, the predicted vertex count).  A count
-# is at most 0 where its size parameter is out of the generator's range, so
-# the generator's own message shows.
-GRAPH_GENERATORS = {
-    "ms-layered": (generators.ms_layered, ("m",), lambda m: m * m if m >= 2 else 0),
-    "ms-through-vertex": (
-        lambda m: generators.ms_through_vertex(m)[0],
-        ("m",),
-        lambda m: 1 + m * (m - 1) // 2 if m >= 2 else 0,
-    ),
-    "line-graph-tree": (
-        generators.line_graph_balanced_tree, ("r", "depth"), _line_graph_vertices
-    ),
-    "random-triangle-free": (
-        generators.random_triangle_free, ("n", "p", "seed"), lambda n, p, seed: n
-    ),
-    "random-kr-free": (
-        generators.random_kr_free, ("n", "r", "p", "seed"), lambda n, r, p, seed: n
-    ),
-}
-# name -> (generator, its parameters, the predicted item-id incidences).
-INSTANCE_GENERATORS = {
-    "dyadic": (generators.dyadic_bipartite, ("k",), _dyadic_incidences),
-    "alpha-counterexample": (generators.alpha_counterexample, ("t",), lambda t: 2 * max(t, 0)),
+def _pairs(n: int) -> int:
+    return n * (n - 1) // 2 if n > 1 else 0
+
+
+# name -> (generator, its parameters, the predicted size, its unit), in the
+# order `gen` lists them.  Graphs count vertex pairs over m^2 vertices
+# (ms-layered), 1 + m(m-1)/2 (ms-through-vertex), the tree's edges
+# (line-graph-tree) or n (random-*).  Instances count item-id incidences,
+# 2^k (2^(k+1) - 1) for dyadic and 2t for alpha-counterexample.  A size is 0
+# where its size parameter is out of the generator's range, so the
+# generator's own message shows.
+GENERATORS = {
+    "line-graph-tree": (generators.line_graph_balanced_tree, ("r", "depth"),
+                        lambda r, depth: _pairs(_line_graph_vertices(r, depth)), _PAIRS),
+    "ms-layered": (generators.ms_layered, ("m",), lambda m: _pairs(m * m) if m >= 2 else 0,
+                   _PAIRS),
+    "ms-through-vertex": (lambda m: generators.ms_through_vertex(m)[0], ("m",),
+                          lambda m: _pairs(1 + m * (m - 1) // 2) if m >= 2 else 0, _PAIRS),
+    "random-kr-free": (generators.random_kr_free, ("n", "r", "p", "seed"),
+                       lambda n, r, p, seed: _pairs(n), _PAIRS),
+    "random-triangle-free": (generators.random_triangle_free, ("n", "p", "seed"),
+                             lambda n, p, seed: _pairs(n), _PAIRS),
+    "alpha-counterexample": (generators.alpha_counterexample, ("t",),
+                             lambda t: 2 * max(t, 0), _INCIDENCES),
+    "dyadic": (generators.dyadic_bipartite, ("k",), _dyadic_incidences, _INCIDENCES),
 }
 
 
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a construction")
-    p_gen.add_argument("name", choices=sorted(GRAPH_GENERATORS) + sorted(INSTANCE_GENERATORS))
+    p_gen.add_argument("name", choices=GENERATORS)
     p_gen.add_argument("--m", type=int)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--r", type=int)
@@ -161,41 +162,29 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _check_gen_size(name: str, size: int, unit: str) -> None:
-    if size > GEN_MAX_SIZE:
+def _cmd_gen(args) -> int:
+    fn, params, size, unit = GENERATORS[args.name]
+    values = _require(args, params, args.name)
+    predicted = size(*values)
+    if predicted > GEN_MAX_SIZE:
         raise ValueError(
-            f"gen {name}: predicted size at least {size} {unit}, above the cap "
+            f"gen {args.name}: predicted size at least {predicted} {unit}, above the cap "
             f"of {GEN_MAX_SIZE} (cli.GEN_MAX_SIZE)"
         )
-
-
-def _cmd_gen(args) -> int:
-    if args.name in GRAPH_GENERATORS:
-        fn, params, vertices = GRAPH_GENERATORS[args.name]
-        values = _require(args, params, args.name)
-        n = max(vertices(*values), 0)
-        _check_gen_size(args.name, n * (n - 1) // 2, "vertex pairs")
-        g = fn(*values)
-        if args.out:
-            save_edge_list(g, args.out)
-        else:
-            sys.stdout.write(format_edge_list(g))
-        print(f"{args.name}: {g.n} vertices, {g.edge_count} edges", file=sys.stderr)
-        if args.name == "ms-through-vertex":
-            print("distinguished root vertex: 0", file=sys.stderr)
+    built = fn(*values)
+    if unit == _PAIRS:
+        text = format_edge_list(built)
+        summary = f"{built.n} vertices, {built.edge_count} edges"
     else:
-        fn, params, incidences = INSTANCE_GENERATORS[args.name]
-        values = _require(args, params, args.name)
-        _check_gen_size(args.name, incidences(*values), "item-id incidences")
-        inst = fn(*values)
-        if args.out:
-            save_instance(inst, args.out)
-        else:
-            sys.stdout.write(inst.to_json() + "\n")
-        print(
-            f"{args.name}: a_count={inst.a_count}, {inst.b_count} B-items",
-            file=sys.stderr,
-        )
+        text = built.to_json() + "\n"
+        summary = f"a_count={built.a_count}, {built.b_count} B-items"
+    if args.out:
+        args.out.write_text(text, encoding="utf-8", newline="\n")
+    else:
+        sys.stdout.write(text)
+    print(f"{args.name}: {summary}", file=sys.stderr)
+    if args.name == "ms-through-vertex":
+        print("distinguished root vertex: 0", file=sys.stderr)
     return 0
 
 

@@ -26,7 +26,7 @@ import math
 import random
 import struct
 from collections.abc import Iterator
-from itertools import compress
+from itertools import accumulate, combinations, compress, pairwise
 
 from .admissible import WeightedBipartiteInstance
 from .graph import Graph, _first_clique, _iter_edges, _low_bit, _sweep_region
@@ -45,17 +45,9 @@ __all__ = [
 def _layered_complete(part_sizes: list[int]) -> Graph:
     """Chain of parts where consecutive parts induce complete bipartite
     graphs; vertex ids run part by part."""
-    starts = []
-    total = 0
-    for size in part_sizes:
-        starts.append(total)
-        total += size
-    edges = []
-    for i in range(len(part_sizes) - 1):
-        for u in range(starts[i], starts[i] + part_sizes[i]):
-            for v in range(starts[i + 1], starts[i + 1] + part_sizes[i + 1]):
-                edges.append((u, v))
-    return Graph(total, edges)
+    ends = list(accumulate(part_sizes))
+    parts = [range(end - size, end) for size, end in zip(part_sizes, ends)]
+    return Graph(ends[-1], [(u, v) for a, b in pairwise(parts) for u in a for v in b])
 
 
 def ms_layered(m: int) -> Graph:
@@ -85,31 +77,18 @@ def line_graph_balanced_tree(r: int, depth: int) -> Graph:
         raise ValueError("r must be >= 4")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    # Build the tree: edge ids become line-graph vertices.
-    tree_edges: list[tuple[int, int]] = []
-    incident: list[list[int]] = [[]]
-    level = [0]
-    next_vertex = 1
-    for d in range(depth):
-        new_level = []
+    # Tree vertices are numbered level by level from the root 0, so the
+    # edge into child c is line-graph vertex c - 1; at[x] lists the
+    # line-graph vertices at tree vertex x.
+    at: list[list[int]] = [[]]
+    level = range(1)
+    for _ in range(depth):
         for parent in level:
-            children = r - 1 if parent == 0 else r - 2
-            for _ in range(children):
-                child = next_vertex
-                next_vertex += 1
-                incident.append([])
-                edge_id = len(tree_edges)
-                tree_edges.append((parent, child))
-                incident[parent].append(edge_id)
-                incident[child].append(edge_id)
-                new_level.append(child)
-        level = new_level
-    edges = []
-    for edge_ids in incident:
-        for i in range(len(edge_ids)):
-            for j in range(i + 1, len(edge_ids)):
-                edges.append((edge_ids[i], edge_ids[j]))
-    return Graph(len(tree_edges), edges)
+            for _ in range(r - 1 if parent == 0 else r - 2):
+                at[parent].append(len(at) - 1)
+                at.append([len(at) - 1])
+        level = range(level.stop, len(at))
+    return Graph(len(at) - 1, [pair for ids in at for pair in combinations(ids, 2)])
 
 
 def dyadic_bipartite(k: int) -> WeightedBipartiteInstance:

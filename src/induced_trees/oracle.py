@@ -315,9 +315,8 @@ def admissible_naive(
     # cutoff is at most best.  There either every addition was exact, so
     # approx = exact > best, or one rounded, which takes a result of at
     # least 2^-1021 (below it floats are spaced 2^-1074, as the terms are),
-    # so approx >= 2^-1021 > best.  An S whose fsum overflows has an exact
-    # sum of about DBL_MAX or more, so it passes too, and the loop raises
-    # where the plain loop raises.
+    # so approx >= 2^-1021 > best.  No fsum overflows: an instance refuses
+    # weights whose total would, and an approx of inf only passes.
     keep = 1.0 - 4 * (len(wpow) + 2) * 2.0 ** -53
     best_val, best_mask, cutoff = -1.0, 0, -1.0
     for h, (oh, th) in enumerate(highs):

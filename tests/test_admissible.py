@@ -106,6 +106,19 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=r"b_items\[0\]: weight must be"):
             WeightedBipartiteInstance(1, [(10**400, [0])])
 
+    def test_weights_whose_total_overflows_are_rejected(self):
+        # Each weight is finite, but a selection keeping both would be worth
+        # more than a float holds at alpha = 1.
+        text = '{"a_count": 1, "b_items": [{"w": 1e308, "nbrs": [0]}, {"w": 1e308, "nbrs": [0]}]}'
+        with pytest.raises(ValueError, match="total weight overflows"):
+            WeightedBipartiteInstance(1, [(1e308, [0]), (1e308, [0])])
+        with pytest.raises(InstanceParseError, match="total weight overflows"):
+            WeightedBipartiteInstance.from_json(text)
+
+    def test_largest_float_weight_alone_is_accepted(self):
+        inst = WeightedBipartiteInstance(1, [(sys.float_info.max, [0]), (0.0, [0])])
+        assert solve_exact(inst, alpha=1.0).value == sys.float_info.max
+
     def test_json_round_trip(self):
         inst = dyadic_bipartite(2)
         again = WeightedBipartiteInstance.from_json(inst.to_json())

@@ -10,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import induced_trees
 from induced_trees import (
@@ -309,6 +311,15 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(path))
         assert code == 2 and out == "" and "b_items[0]: weight must be" in err
 
+    def test_weights_whose_total_overflows_are_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "big_total.json"
+        path.write_text(
+            '{"a_count": 1, "b_items": [{"w": 1e308, "nbrs": [0]}, {"w": 1e308, "nbrs": [0]}]}'
+        )
+        code, out, err = run(capsys, "oracle", str(path), "--alpha", "1.0")
+        assert code == 2 and out == "" and "total weight overflows" in err
+        assert "internal failure" not in err
+
     def test_huge_a_count_is_rejected_by_the_budget(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text('{"a_count": 2000000, "b_items": [{"w": 1, "nbrs": [0]}]}')
@@ -438,6 +449,30 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command, prefix):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "invalid" in err
     assert "internal failure" not in err
+
+
+FUZZ_WEIGHTS = [0.0, 5e-324, 1.0, 1e200, 1e308, sys.float_info.max]
+
+
+@st.composite
+def instance_texts(draw):
+    a_count = draw(st.integers(1, 6))
+    weight = st.one_of(st.sampled_from(FUZZ_WEIGHTS), st.floats(0.0, 1e308))
+    nbrs = st.lists(st.integers(0, a_count - 1), min_size=1, max_size=a_count)
+    items = draw(st.lists(st.builds(lambda w, n: {"w": w, "nbrs": n}, weight, nbrs), max_size=6))
+    return json.dumps({"a_count": a_count, "b_items": items})
+
+
+@settings(max_examples=75, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(instance_texts(), st.sampled_from(["1e-300", "0.25", "0.5", "1.0"]))
+def test_oracle_on_an_instance_never_exits_3(tmp_path, capsys, text, alpha):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "oracle", str(path), "--alpha", alpha)
+    assert code in (0, 2), err
+    if code == 0:
+        assert isinstance(json.loads(out), dict)
 
 
 class TestInternalFailure:
