@@ -15,8 +15,8 @@ fraction of the most populous degree class.
 
 An instance stores one adjacency form, a neighbour bitmask per item, and
 every solver reads it; no solver reads the one view, `b_items`.  JSON is
-read by `WeightedBipartiteInstance.from_json` and written by
-`save_instance`.  Instances are immutable; solvers are pure apart
+read by `WeightedBipartiteInstance.from_json` and written by its
+`to_json`.  Instances are immutable; solvers are pure apart
 from the explicit seed of the randomized selector, so concurrent use on
 shared instances is safe.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "WeightedBipartiteInstance",
     "closure_b",
     "reduce_instance",
-    "save_instance",
     "select_randomized_dyadic",
     "select_uniform",
     "select_weighted",
@@ -199,11 +198,6 @@ def _instance_of(a_count: int, items: list) -> WeightedBipartiteInstance:
         return WeightedBipartiteInstance(a_count, items)
     except ValueError as exc:
         raise InstanceParseError(str(exc)) from None
-
-
-def save_instance(inst: WeightedBipartiteInstance, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(inst.to_json() + "\n")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from typing import Optional
 from .admissible import LEMMA_SLACK, WeightedBipartiteInstance, select_uniform, select_weighted
 from .graph import (
     Graph,
+    _check_vertex,
     _component_masks,
     _is_finite_number,
     _is_id,
@@ -59,7 +60,7 @@ from .graph import (
     is_induced_tree,
     shortest_path,
 )
-from .ramsey import _independent_mask
+from .ramsey import _extract
 
 __all__ = [
     "FinderPreconditionError",
@@ -133,7 +134,7 @@ class TreeCertificate:
     def from_json(text: str) -> "TreeCertificate":
         try:
             payload = json.loads(text)
-        except RecursionError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid certificate JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValueError("certificate must be a JSON object")
@@ -198,11 +199,8 @@ def theorem_bound(n: int, r: int) -> float:
 
 def _check_input(g: Graph, v: int) -> None:
     """The finders' shared preconditions, in order: nonempty graph, root in
-    range, connectivity."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
+    range (graph._check_vertex), connectivity."""
+    _check_vertex(g, v)
     if not is_connected(g):
         raise FinderPreconditionError("graph is disconnected", witness=components_of(g)[0])
 
@@ -392,13 +390,13 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
     b_need = max(1, math.ceil(theorem_bound(n, r)))
 
     if nv_mask.bit_count() ** 4 >= n:
-        return (1 << v) | _independent_mask(masks, nv_mask, r, b_need), "ramsey-star", []
+        return (1 << v) | _extract(masks, nv_mask, r, b_need), "ramsey-star", []
 
     rest = region ^ nv_mask ^ (1 << v)
     for w in _iter_bits(nv_mask):
         outside = masks[w] & rest
         if outside.bit_count() ** 4 >= n:
-            fixed = (1 << v) | (1 << w) | _independent_mask(masks, outside, r, b_need)
+            fixed = (1 << v) | (1 << w) | _extract(masks, outside, r, b_need)
             return fixed, "ramsey-broom", []
 
     comps = _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)

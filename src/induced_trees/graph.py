@@ -157,7 +157,11 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        masks = [0] * n
+        try:
+            masks = [0] * n
+        except (OverflowError, MemoryError):
+            # A count the list cannot index or hold is bad input, not a crash.
+            raise ValueError(f"vertex count {n} is too large") from None
         count = 0
         for u, v in edges:
             if u == v:
@@ -172,7 +176,7 @@ class Graph:
         self.n = n
         self.edge_count = count
         self.adjacency_masks: tuple[int, ...] = tuple(masks)
-        self._sweep: Optional[tuple[bool, int]] = None
+        self._sweep: Optional[tuple[list[int], int]] = None
         self._cliques: dict[int, Optional[frozenset[int]]] = {}
         self._subtrees: dict[tuple[int, int, int], int] = {}
         self._subtree_room: Optional[int] = None
@@ -211,22 +215,32 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _bfs_sweep(g: Graph) -> tuple[bool, int]:
-    """g's one BFS sweep over every component, run once and cached: whether
-    g has one component, and the bitmask of marked vertices, those with a
-    neighbour in their own BFS layer.  None is marked iff g is bipartite:
-    the layer parities 2-colour g exactly when no edge lies in a layer."""
+def _bfs_sweep(g: Graph) -> tuple[list[int], int]:
+    """g's one BFS sweep over every component, run once and cached:
+    `_sweep_region`'s pair for the whole vertex set, that is g's components
+    as bitmasks ordered by lowest vertex, and the bitmask of marked
+    vertices, those with a neighbour in their own BFS layer.  None is
+    marked iff g is bipartite: the layer parities 2-colour g exactly when
+    no edge lies in a layer."""
     if g._sweep is None:
-        comps, marked = _sweep_region(g.adjacency_masks, (1 << g.n) - 1)
-        g._sweep = (len(comps) == 1, marked)
+        g._sweep = _sweep_region(g.adjacency_masks, (1 << g.n) - 1)
     return g._sweep
+
+
+def _check_vertex(g: Graph, v: int) -> None:
+    """The entry check of the finders and the tree oracle, in order:
+    nonempty graph, vertex v in range."""
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
 
 
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one connected component (n >= 1 required)."""
     if g.n == 0:
         raise ValueError("empty graph: connectivity is undefined for n = 0")
-    return _bfs_sweep(g)[0]
+    return len(_bfs_sweep(g)[0]) == 1
 
 
 def _component_masks(masks: Sequence[int], region: int, seeds: int) -> list[int]:
@@ -290,19 +304,10 @@ def _component_masks(masks: Sequence[int], region: int, seeds: int) -> list[int]
     return sorted(comps, key=_low_bit)
 
 
-def components_of(g: Graph, excluded: Iterable[int] = ()) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced on V minus `excluded`.
-
-    Components are ordered by their minimum vertex id.
-    """
-    ex_mask = _mask_of(excluded)
-    if ex_mask >> g.n:
-        raise ValueError("excluded set contains out-of-range vertices")
-    region = ((1 << g.n) - 1) ^ ex_mask
-    return [
-        frozenset(_iter_bits(mask))
-        for mask in _sweep_region(g.adjacency_masks, region)[0]
-    ]
+def components_of(g: Graph) -> list[frozenset[int]]:
+    """Connected components of g, ordered by their minimum vertex id, as
+    listed by the cached sweep (`_bfs_sweep`)."""
+    return [frozenset(_iter_bits(mask)) for mask in _bfs_sweep(g)[0]]
 
 
 def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:

@@ -73,7 +73,7 @@ from .admissible import (
     _item_classes,
     closure_b,
 )
-from .graph import Graph, _is_finite_number, _is_id, _iter_bits
+from .graph import Graph, _check_vertex, _is_finite_number, _is_id, _iter_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -188,13 +188,10 @@ class _TreeSearch:
 
 def _search(g: Graph, budget: OracleBudget | None, v: int = 0) -> _TreeSearch:
     """The search both maxima run, after the checks they share, in this
-    order: empty graph, root v in range (the default 0 is in any nonempty
-    graph), size within `budget`."""
+    order: graph._check_vertex's empty graph and root v in range (the
+    default 0 is in any nonempty graph), then size within `budget`."""
     budget = budget or OracleBudget()
-    if g.n == 0:
-        raise ValueError("empty graph has no induced tree")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
+    _check_vertex(g, v)
     if g.n > budget.max_vertices:
         raise BudgetExceededError(
             f"graph has {g.n} vertices, budget allows {budget.max_vertices}"

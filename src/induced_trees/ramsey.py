@@ -1,4 +1,4 @@
-"""Constructive clique-or-independent-set extraction.
+"""Constructive independent-set extraction in K_r-free graphs.
 
 The classical argument behind the bound "C(a+b-2, a-1) vertices force a
 clique of size a or an independent set of size b": take the smallest
@@ -8,11 +8,12 @@ vertices form one bitmask over the host graph's adjacency masks, and the
 vertices taken on each branch collect in two more, so the extraction is a
 loop with no depth limit and no relabelled subgraph.
 
-The K_r-free finder calls the extraction on its neighbourhood bitmasks
-through `_independent_mask`; `independent_set_of_size` is the same call
-on a whole graph.  Only the independent branch is public: in a graph
-the caller asserts is K_r-free, a clique result is a counterexample and
-raises CliqueAssertionError.
+The K_r-free finder needs only the independent branch, since a K_r-free
+graph holds no clique of size r, so the extraction has one outcome: the
+independent set, as a bitmask.  A clique is a counterexample to the
+caller's assertion, raised as CliqueAssertionError where it is found.
+The finder calls `_extract` on its neighbourhood bitmasks;
+`independent_set_of_size` is the same call on a whole graph.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ __all__ = [
     "binomial_threshold",
     "independent_set_of_size",
 ]
-
-CLIQUE = "clique"
-INDEPENDENT = "independent"
-
 
 class RamseyPreconditionError(ValueError):
     """Input graph is below the vertex count the extraction requires."""
@@ -56,11 +53,12 @@ def binomial_threshold(a: int, b: int) -> int:
     return math.comb(a + b - 2, a - 1)
 
 
-def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> tuple[str, int]:
-    """(kind, members as a bitmask): a clique of size a or an independent
-    set of size b among the vertices of the `allowed` bitmask, which must
-    hold at least binomial_threshold(a, b) of them.  Each step inspects
-    one vertex's neighborhood and lowers a or b by one."""
+def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> int:
+    """An independent set of size b, as a bitmask, among the vertices of
+    the `allowed` bitmask, which must hold at least binomial_threshold(a, b)
+    of them; raises CliqueAssertionError if a clique of size a turns up
+    first.  Each step inspects one vertex's neighborhood and lowers a or b
+    by one."""
     need = binomial_threshold(a, b)
     count = allowed.bit_count()
     if count < need:
@@ -71,9 +69,9 @@ def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> tuple[str, i
     while True:
         low = allowed & -allowed
         if a == 1:
-            return CLIQUE, clique | low
+            raise CliqueAssertionError(frozenset(_iter_bits(clique | low)))
         if b == 1:
-            return INDEPENDENT, independent | low
+            return independent | low
         nv = masks[low.bit_length() - 1]
         inside = allowed & nv
         if inside.bit_count() >= binomial_threshold(a - 1, b):
@@ -85,20 +83,11 @@ def _extract(masks: Sequence[int], allowed: int, a: int, b: int) -> tuple[str, i
             assert allowed.bit_count() >= binomial_threshold(a, b)
 
 
-def _independent_mask(masks: Sequence[int], region: int, r: int, b: int) -> int:
-    """independent_set_of_size on the subgraph induced by the `region`
-    bitmask of the graph with adjacency `masks`, as a bitmask of its ids."""
-    kind, members = _extract(masks, region, r, b)
-    if kind == CLIQUE:
-        raise CliqueAssertionError(frozenset(_iter_bits(members)))
-    return members
-
-
 def independent_set_of_size(g: Graph, r: int, b: int) -> frozenset[int]:
     """Independent set of size >= b in a graph the caller asserts is
-    K_r-free (so the clique branch of the extraction cannot win).
+    K_r-free (so the extraction finds no clique of size r).
 
-    A clique result contradicts the caller's assertion and is surfaced as
+    A clique contradicts the caller's assertion and is surfaced as
     CliqueAssertionError carrying the clique.
     """
-    return frozenset(_iter_bits(_independent_mask(g.adjacency_masks, (1 << g.n) - 1, r, b)))
+    return frozenset(_iter_bits(_extract(g.adjacency_masks, (1 << g.n) - 1, r, b)))

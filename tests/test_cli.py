@@ -421,6 +421,23 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(gpath), str(cpath))
         assert code == 2 and out == "" and message in err
 
+    def test_oversized_header_is_a_parse_error(self, tmp_path, capsys):
+        # CPython refuses a list of 2**64 masks before allocating any.
+        gpath = tmp_path / "huge.txt"
+        gpath.write_text(f"{2**64} 0\n")
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(TreeCertificate(frozenset({0}), 0, 1.0).to_json())
+        code, out, err = run(capsys, "verify", str(gpath), str(cpath))
+        assert code == 2 and out == ""
+        assert f"parse failure: line 1: vertex count {2**64} is too large" in err
+
+    def test_truncated_certificate_is_usage_error(self, tmp_path, capsys):
+        gpath = tmp_path / "p3.txt"
+        save_edge_list(Graph(3, [(0, 1), (1, 2)]), gpath)
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(TreeCertificate(frozenset({0, 1}), 0, 1.0).to_json()[:-7])
+        code, out, err = run(capsys, "verify", str(gpath), str(cpath))
+        assert code == 2 and out == "" and "invalid certificate JSON" in err
 
     @pytest.mark.parametrize("token", ["\u0662", "+2", "0_2"])
     def test_ids_must_be_ascii_decimals(self, tmp_path, capsys, token):
@@ -472,6 +489,63 @@ def test_oracle_on_an_instance_never_exits_3(tmp_path, capsys, text, alpha):
     code, out, err = run(capsys, "oracle", str(path), "--alpha", alpha)
     assert code in (0, 2), err
     if code == 0:
+        assert isinstance(json.loads(out), dict)
+
+
+# Small headers, or ones CPython refuses outright; never a count in between,
+# which would allocate its masks.
+VERIFY_COUNTS = st.one_of(st.integers(0, 12), st.integers(2**63, 2**70))
+SWAP_VALUES = [None, True, "0", 1.5, [], {}, [[0]], float("nan"), 10**30]
+
+
+@st.composite
+def verify_files(draw):
+    """(edge-list text, certificate text): distinct edges under a small or
+    a huge header, then maybe one line dropped, repeated or garbled; a
+    certificate that is valid, mutated, truncated or type-swapped."""
+    n = draw(VERIFY_COUNTS)
+    k = min(n, 12)
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda e: e[0] < e[1])
+    edges = draw(st.lists(pair, max_size=12, unique=True)) if k > 1 else []
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    at = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["none", "none", "none", "drop", "repeat", "garble"]))
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "repeat":
+        lines.insert(at, lines[at])
+    elif mutation == "garble":
+        lines[at] = draw(st.sampled_from(["", "x", "1", "1 1", "-1 0", "1 2 3", "\u0663 1"]))
+    v = draw(st.integers(0, max(k - 1, 0)))
+    tree = [v] if not edges or draw(st.booleans()) else list(edges[0])
+    cert = {"root": tree[0], "vertices": tree, "claimed_bound": 1.0, "strategy": "drawn"}
+    kind = draw(st.sampled_from(["valid", "valid", "mutated", "truncated", "swapped"]))
+    if kind == "mutated":
+        ids = st.integers(-1, k)
+        cert["vertices"] = draw(st.lists(ids, max_size=6))
+        cert["root"] = draw(ids)
+        cert["claimed_bound"] = draw(st.floats(0.0, 8.0))
+    elif kind == "swapped":
+        cert[draw(st.sampled_from(sorted(cert)))] = draw(st.sampled_from(SWAP_VALUES))
+    text = json.dumps(cert)
+    if kind == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return "\n".join(lines) + "\n", text
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(verify_files())
+def test_verify_exits_0_1_or_2(tmp_path, capsys, files):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "cert.json"
+    gpath.write_text(files[0], encoding="utf-8")
+    cpath.write_text(files[1], encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(gpath), str(cpath))
+    assert code in (0, 1, 2), err
+    assert "internal failure" not in err
+    if code == 2:
+        assert out == ""
+    else:
         assert isinstance(json.loads(out), dict)
 
 

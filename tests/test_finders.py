@@ -68,6 +68,15 @@ class TestTriangleFreeFinder:
             find_tree_triangle_free(g, 0)
         assert excinfo.value.witness == frozenset({0, 1})
 
+    def test_disconnected_input_is_swept_once(self, monkeypatch):
+        # The connectivity check's cached sweep also lists the witness.
+        calls = []
+        sweep = graph._sweep_region
+        monkeypatch.setattr(graph, "_sweep_region", lambda *args: calls.append(1) or sweep(*args))
+        with pytest.raises(FinderPreconditionError, match="disconnected"):
+            find_tree_triangle_free(Graph(4, [(0, 1), (2, 3)]), 0)
+        assert len(calls) == 1
+
     def test_triangle_rejected_with_witness(self):
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         with pytest.raises(FinderPreconditionError) as excinfo:

@@ -46,11 +46,6 @@ from induced_trees.graph import edge_list_header
         (lambda: shortest_path(path_graph(3), 0, {3}), ValueError, "vertices out of range"),
         (lambda: induced_subgraph(path_graph(3), {0, 3}), ValueError, "vertices out of range"),
         (
-            lambda: components_of(path_graph(3), {3}),
-            ValueError,
-            "excluded set contains out-of-range vertices",
-        ),
-        (
             lambda: shortest_path(Graph(3, [(0, 1)]), 0, {2}),
             RuntimeError,
             "to_set unreachable from start",
@@ -66,10 +61,17 @@ from induced_trees.graph import edge_list_header
             "line 3: expected 2 edge lines, found 1",
         ),
         (lambda: Graph(3, [(3, 0)]), ValueError, "edge (3, 0) out of range for n=3"),
+        # CPython refuses a list this long before it allocates anything.
+        (lambda: Graph(2**64), ValueError, f"vertex count {2**64} is too large"),
+        (
+            lambda: parse_edge_list(f"{2**64} 0\n"),
+            EdgeListParseError,
+            f"line 1: vertex count {2**64} is too large",
+        ),
     ],
     ids=["negative-n", "clique-size-0", "tree-id", "path-start", "path-target", "subgraph-id",
-         "components-id", "path-unreachable", "extra-edge-line", "missing-edge-line",
-         "endpoint-equal-to-n"],
+         "path-unreachable", "extra-edge-line", "missing-edge-line", "endpoint-equal-to-n",
+         "huge-n", "huge-header"],
 )
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -140,20 +142,13 @@ class TestConnectivity:
 
 
 class TestComponents:
-    def test_path_with_middle_removed(self):
-        g = path_graph(3)
-        assert components_of(g, {1}) == [frozenset({0}), frozenset({2})]
-
-    def test_five_cycle_minus_closed_neighborhood(self):
-        # removing a vertex and its two neighbors from C5 leaves one
-        # component on the remaining two (adjacent) vertices
-        g = cycle_graph(5)
-        comps = components_of(g, {0, 1, 4})
-        assert comps == [frozenset({2, 3})]
-
-    def test_everything_excluded(self):
-        g = path_graph(3)
-        assert components_of(g, {0, 1, 2}) == []
+    def test_ordered_by_lowest_vertex(self):
+        # The piece holding 0 comes first although its other ids are high.
+        g = Graph(7, [(0, 6), (1, 4), (4, 2), (5, 3)])
+        assert components_of(g) == [
+            frozenset({0, 6}), frozenset({1, 2, 4}), frozenset({3, 5})
+        ]
+        assert components_of(Graph(0)) == []
 
 
 class TestTriangleFree:

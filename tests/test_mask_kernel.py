@@ -163,13 +163,14 @@ def test_find_triangle_equals_the_ordered_brute_force(case):
 def test_sweep_answers_connectivity_and_holds_every_triangle(case):
     g, _ = case
     nbrs = neighbour_sets(g)
-    connected, marked = _bfs_sweep(g)
+    comps, marked = _bfs_sweep(g)
     reached, todo = {0}, [0]
     while todo:
         for y in nbrs[todo.pop()] - reached:
             reached.add(y)
             todo.append(y)
-    assert connected == (len(reached) == g.n)
+    assert comps[0] == mask_of(reached)
+    assert (len(comps) == 1) == (len(reached) == g.n)
     assert (marked == 0) == set_two_colouring(nbrs, g.n)
     scope = bits_of(marked)
     scope |= set().union(*(nbrs[x] for x in scope))

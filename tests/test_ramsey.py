@@ -15,13 +15,17 @@ from induced_trees import (
 )
 from induced_trees.generators import random_kr_free
 from induced_trees.graph import _iter_bits
-from induced_trees.ramsey import _extract, _independent_mask
+from induced_trees.ramsey import _extract
 
 
 def extract(g, a, b):
-    """The extraction over all of g, as (kind, set of members)."""
-    kind, members = _extract(g.adjacency_masks, (1 << g.n) - 1, a, b)
-    return kind, frozenset(_iter_bits(members))
+    """The extraction over all of g, as (kind, set of members); a clique
+    arrives as the CliqueAssertionError that carries it."""
+    try:
+        members = _extract(g.adjacency_masks, (1 << g.n) - 1, a, b)
+    except CliqueAssertionError as exc:
+        return "clique", exc.clique
+    return "independent", frozenset(_iter_bits(members))
 
 
 def check_result(g, kind, members):
@@ -116,7 +120,7 @@ class TestIndependentSetOfSize:
 
 def _mask_outcome(g, region, r, b):
     try:
-        return "independent", _independent_mask(g.adjacency_masks, region, r, b)
+        return "independent", _extract(g.adjacency_masks, region, r, b)
     except RamseyPreconditionError as exc:
         return "below-threshold", str(exc)
     except CliqueAssertionError as exc:
