@@ -22,10 +22,11 @@ find_tree(g, v, r) picks between the first two by r; theorem_bound(n, r)
 is the size they guarantee.  Both finders are one call to _grow, the
 finder core, whose docstring holds the decisions they share: the input
 checks, the step for r, the loop over pending subproblems, the one
-claimed bound and the subtree cache.  A step splits its region with
-graph._component_masks, whose docstring says what a split reads; every
-step still builds new n-bit region ints, so time on P_n grows about 3x
-per doubling of n (CHANGES.md holds the timings).
+claimed bound, and the caches that let runs at many roots of one graph
+share work.  A step splits its region with graph._component_masks, whose
+docstring says what a split reads; every step still builds new n-bit
+region ints, so time on P_n grows about 3x per doubling of n (CHANGES.md
+holds the timings).
 Regions, the neighbourhoods _kr hands to Ramsey extraction and the
 subtrees reroute_through_vertex colours are vertex bitmasks over the
 immutable host graph, so no subgraphs are materialized; all finders are
@@ -78,8 +79,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Guards every graph's subtree budget, so concurrent finders cannot both
-# spend the last of it; stores are at most deg(v) per root.
+# Guards every graph's cache budget, so concurrent finders cannot both
+# spend the last of it; a root stores at most deg(v) subtrees, one split
+# and one selection.
 _SUBTREE_LOCK = threading.Lock()
 
 NOT_INDUCED_TREE = "not-induced-tree"
@@ -223,17 +225,57 @@ def _first_attachment(masks, nv_mask: int, comp: int) -> int:
     return next(a for a in _iter_bits(nv_mask) if masks[a] & comp)
 
 
-def _select_attached(masks, nv_mask: int, comp_masks: list[int], select) -> dict[int, int]:
+def _select_attached(
+    g: Graph, nv_mask: int, comp_masks: list[int], select, entry: Optional[tuple]
+) -> dict[int, int]:
     """Run `select` on the attachment instance of the components around the
     root's neighbourhood `nv_mask`; maps each chosen component's index, in
-    ascending order, to its one chosen attachment vertex."""
+    ascending order, to its one chosen attachment vertex.  `entry` is the
+    split's cache entry from `_split`, which keeps the answer (see _grow),
+    or None."""
+    if entry is not None:
+        _, twins, picks = entry
+        key = (select, tuple(0 if comp & twins else comp for comp in comp_masks))
+        attach = picks.get(key)
+        if attach is not None:
+            return attach
     a_list = list(_iter_bits(nv_mask))
-    inst = _attachment_instance(masks, a_list, comp_masks)
+    inst = _attachment_instance(g.adjacency_masks, a_list, comp_masks)
     sel = select(inst)
     s_mask = _mask_of(sel.a_chosen)
     only = {i: inst.nbr_masks[i] & s_mask for i in sorted(sel.b_chosen)}
     assert all(m.bit_count() == 1 for m in only.values())
-    return {i: a_list[m.bit_length() - 1] for i, m in only.items()}
+    attach = {i: a_list[m.bit_length() - 1] for i, m in only.items()}
+    if entry is not None:
+        _store(g, picks, key, attach, sum(map(int.bit_length, attach.values())))
+    return attach
+
+
+def _split(
+    g: Graph, size: int, v: int, nv_mask: int, rest: int
+) -> tuple[list[int], Optional[tuple]]:
+    """The components of `rest`, what is left of a step's region of `size`
+    vertices without the root v and N(v) = `nv_mask`, ordered by lowest
+    vertex, and the cache entry for N(v) if the step is the top one and
+    has one (see _grow), else None."""
+    masks = g.adjacency_masks
+    top = size == g.n
+    entry = g._splits.get(nv_mask) if top else None
+    if entry is not None:  # stored by a twin of v
+        comps = entry[0].copy()
+        comps.remove(1 << v)
+        return comps, entry
+    comps = _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)
+    if top:
+        low_nbrs = _iter_bits(masks[_low_bit(nv_mask)])
+        twins = _mask_of(x for x in low_nbrs if masks[x] == nv_mask)
+        if twins != 1 << v:
+            full = sorted([*comps, 1 << v], key=_low_bit)
+            entry = (full, twins, {})
+            bits = sum(map(int.bit_length, full), nv_mask.bit_length() + twins.bit_length())
+            if not _store(g, g._splits, nv_mask, entry, bits):
+                entry = None
+    return comps, entry
 
 
 def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
@@ -258,15 +300,40 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     masks, the region, the root and r, so a cached subtree is the one
     `_subtree` would build again; the tree is a union, so the order in which
     subtrees are evaluated does not matter; and the strategy comes from the
-    top step, which is never cached.  Only the top step's subproblems are
-    keys: no top step repeats across roots, and a key per deeper level would
-    hold an n-bit region each, about 400 MB for one root on P_40000, where
-    this holds at most deg(v) entries per root.  g._subtree_room is the bit
-    budget left, set on the first store to the bits of g's adjacency masks
-    (the sum of their bit lengths); an entry costs the bit lengths of its
-    region and its value, and one that does not fit is not stored, so the
-    cache at most doubles a graph's memory.  That bound is what holds on a
-    cycle, whose roots share no subproblem."""
+    top step, which runs at every root.  Only the top step's subproblems are
+    keys: a key per deeper level would hold an n-bit region each, about
+    400 MB for one root on P_40000, where this holds at most deg(v) entries
+    per root.
+
+    The split cache: the top step's split, which `_split` makes for both
+    `_tf` and `_kr`, is kept in g._splits under the root's neighbourhood
+    N(v).  Roots with one neighbourhood are false twins, and each is a lone
+    vertex once N(v) is removed, so V \\ N[v'] is V \\ N[v] with the singleton
+    {v'} swapped for {v}.  An entry holds the components of V \\ N(v),
+    ordered by lowest vertex, the mask of v's twins (v among them) and the
+    selections made from its splits; a twin's split is that list without
+    its own singleton, the list `_component_masks` would return.  A
+    selection is a pure function of its instance, and the instance's items
+    are the components' sizes and attachments.  Every twin singleton has
+    size 1 and sees all of N(v), so `_select_attached` keys a selection by
+    the selector and the components with each twin singleton written as 0,
+    which fixes the items: two twins with another component's lowest vertex
+    between them in id order list the items in two orders and select
+    apart.  So a cached split or selection is the one the step would make
+    again, and no certificate changes.  An entry is stored only when the
+    root has a twin: every twin of v sees v's lowest neighbour, so the test
+    reads that vertex's degree in masks, and a twin-free root stores
+    nothing.  Deeper steps are not cached.
+
+    g._subtree_room is the bit budget both caches share, set on the first
+    store to the bits of g's adjacency masks (the sum of their bit lengths)
+    and spent under _SUBTREE_LOCK.  A subtree costs the bit lengths of its
+    region and its value; a split entry those of its key, its components
+    and its twin mask; a selection those of its attachment vertices, since
+    its key holds the entry's own components.  What does not fit is not
+    stored, so the caches at most double a graph's memory.  That bound is
+    what holds on a cycle, whose roots share no subproblem and have no
+    twin."""
     _check_input(g, v)
     clique = find_triangle(g) if r == 3 else find_clique(g, r)
     if clique is not None:
@@ -280,7 +347,7 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
         below = region if region.bit_count() <= 2 else cache.get(key)
         if below is None:
             below = _subtree(g, region, root, r)
-            _store_subtree(g, key, below)
+            _store(g, cache, key, below, region.bit_length() + below.bit_length())
         tree |= below
     bound = theorem_bound(g.n - 1, r) + 1.0
     return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
@@ -309,15 +376,17 @@ def _subtree(g: Graph, region: int, root: int, r: int) -> int:
     return tree
 
 
-def _store_subtree(g: Graph, key: tuple[int, int, int], tree: int) -> None:
-    """Cache `tree` under `key` if it fits in g's bit budget (see _grow)."""
-    bits = key[1].bit_length() + tree.bit_length()
+def _store(g: Graph, cache: dict, key, value, bits: int) -> bool:
+    """Put `value` in `cache`, one of g's finder caches, under a new `key`
+    if its `bits` fit in g's bit budget (see _grow); True if stored."""
     with _SUBTREE_LOCK:
         if g._subtree_room is None:
             g._subtree_room = sum(map(int.bit_length, g.adjacency_masks))
-        if bits <= g._subtree_room and key not in g._subtrees:
-            g._subtrees[key] = tree
-            g._subtree_room -= bits
+        if bits > g._subtree_room or key in cache:
+            return False
+        cache[key] = value
+        g._subtree_room -= bits
+        return True
 
 
 def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
@@ -336,11 +405,11 @@ def _tf(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
     if nv_mask.bit_count() ** 2 >= size - 1:
         return (1 << v) | nv_mask, "star", []
     rest = region ^ nv_mask ^ (1 << v)
-    comps = _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)
+    comps, entry = _split(g, size, v, nv_mask, rest)
     if len(comps) == 1:  # meets the lemma alone, at select_weighted's pick
         attach = {0: _first_attachment(masks, nv_mask, comps[0])}
     else:
-        attach = _select_attached(masks, nv_mask, comps, select_weighted)
+        attach = _select_attached(g, nv_mask, comps, select_weighted, entry)
     return 1 << v, "decompose", [(comps[i] | (1 << u), u) for i, u in attach.items()]
 
 
@@ -399,7 +468,7 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
             fixed = (1 << v) | (1 << w) | _extract(masks, outside, r, b_need)
             return fixed, "ramsey-broom", []
 
-    comps = _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)
+    comps, entry = _split(g, size, v, nv_mask, rest)
     r4 = r ** 4
 
     big = max(comps, key=int.bit_count, default=0)
@@ -420,7 +489,7 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
                 "large_components": len(big_comps),
             },
         )
-    attach = _select_attached(masks, nv_mask, big_comps, select_uniform)
+    attach = _select_attached(g, nv_mask, big_comps, select_uniform, entry)
     if len(attach) < r + 1:
         raise InternalInvariantError(
             "uniform selection returned fewer than r+1 components",

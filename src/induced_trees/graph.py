@@ -5,7 +5,7 @@ Graphs are immutable after construction and every operation here is a
 pure query, so shared instances are safe to use from multiple threads.
 A graph's caches hold answers that depend on the graph alone, so
 concurrent callers may both fill the same entry, with the same value;
-the finders' subtree cache spends its bit budget under a lock.
+the finders' subtree and split caches spend one bit budget under a lock.
 All outputs that are ordered (paths, component lists, parsed files) use
 ascending vertex ids to break ties, so repeated runs are reproducible.
 
@@ -144,14 +144,16 @@ class Graph:
     views derived from it.  Connectivity, triangle and clique searches are
     cached lazily, which is safe because instances never change.
 
-    `_subtrees` and `_subtree_room` are the finders' subtree cache and its
-    bit budget, kept as `finders._grow` describes.
+    `_subtrees`, `_splits` and `_subtree_room` are the finders' subtree
+    cache, their cache of top-step splits by the root's neighbourhood, and
+    the bit budget the two share, kept as `finders._grow` describes.
     """
 
-    # One slot per cached answer: a misspelt name raises instead of
-    # silently missing the cache.
+    # One slot per cached answer, and one for the finders' shared budget: a
+    # misspelt name raises instead of silently missing the cache.
     __slots__ = (
-        "n", "edge_count", "adjacency_masks", "_sweep", "_cliques", "_subtrees", "_subtree_room"
+        "n", "edge_count", "adjacency_masks", "_sweep", "_cliques", "_subtrees", "_splits",
+        "_subtree_room",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -179,6 +181,7 @@ class Graph:
         self._sweep: Optional[tuple[list[int], int]] = None
         self._cliques: dict[int, Optional[frozenset[int]]] = {}
         self._subtrees: dict[tuple[int, int, int], int] = {}
+        self._splits: dict[int, tuple[list[int], int, dict]] = {}
         self._subtree_room: Optional[int] = None
 
     @property
@@ -404,15 +407,16 @@ def has_clique(g: Graph, r: int) -> bool:
 
 def is_induced_tree(g: Graph, s: Iterable[int]) -> bool:
     """True iff the subgraph induced on s is connected with |s|-1 edges."""
-    s_mask = _mask_of(s)
+    vs = frozenset(s)  # no copy of a certificate's frozenset
+    s_mask = _mask_of(vs)
     if s_mask == 0:
         raise ValueError("a tree has at least one vertex; s must be nonempty")
     if s_mask >> g.n:
         raise ValueError("s contains out-of-range vertices")
     masks = g.adjacency_masks
-    k = s_mask.bit_count()
+    k = len(vs)
     twice_edges = 0
-    for v in _iter_bits(s_mask):
+    for v in vs:
         twice_edges += (masks[v] & s_mask).bit_count()
     if twice_edges != 2 * (k - 1):
         return False

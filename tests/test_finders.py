@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -438,14 +439,16 @@ def test_each_selection_builds_one_instance(monkeypatch):
     assert len(built) == len(selections) == len(choices)
     assert (len(selections), len(splits)) == (120, 616)
     # One graph per m: later roots read the subtrees cached below earlier
-    # roots' first splits, so fewer splits run, and no selection is lost.
+    # roots' first splits, and a false twin of an earlier root reads its
+    # top split and selection, so fewer splits and selections run.  Each
+    # part of the chain is one class of twins, with consecutive ids.
     del built[:], selections[:], splits[:], choices[:]
     for m in range(3, 13):
         g = ms_layered(m)
         for v in range(g.n):
             find_tree(g, v, 3)
     assert len(built) == len(selections) == len(choices)
-    assert (len(selections), len(splits)) == (120, 352)
+    assert (len(selections), len(splits)) == (40, 272)
 
 
 def cached_bits(g):
@@ -455,6 +458,16 @@ def cached_bits(g):
 
 def mask_bits(g):
     return sum(mask.bit_length() for mask in g.adjacency_masks)
+
+
+def split_bits(g):
+    """The bits the top-split cache holds: each entry's key, components and
+    twin mask, and the attachment vertices of its selections."""
+    return sum(
+        key.bit_length() + twins.bit_length() + sum(map(int.bit_length, full))
+        + sum(u.bit_length() for attach in picks.values() for u in attach.values())
+        for key, (full, twins, picks) in g._splits.items()
+    )
 
 
 def fresh_json(g, v, r):
@@ -517,6 +530,77 @@ class TestSubtreeCache:
         assert mismatches == []
         assert 0 < len(g._subtrees) < g.n
         assert cached_bits(g) <= mask_bits(g) == cached_bits(g) + g._subtree_room
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            connected_kr_free(max_n=12),
+            st.builds(
+                lambda shape, n: (3, shape(n)),
+                st.sampled_from([path_graph, cycle_graph]),
+                st.integers(4, 12),
+            ),
+        ),
+        st.data(),
+    )
+    def test_false_twins_change_no_certificate(self, case, data):
+        # Each vertex becomes 1 to 3 false twins, under shuffled ids so a
+        # class need not hold consecutive ids; a clique takes at most one
+        # vertex per class, so the blow-up is still K_r-free.  Blown-up
+        # paths and cycles are sparse enough that the top step splits into
+        # several components.  Every root, in a drawn order, for r and r + 1
+        # on one graph object, against a fresh copy per call.
+        r, base = case
+        copies = data.draw(st.lists(st.integers(1, 3), min_size=base.n, max_size=base.n))
+        ids = data.draw(st.permutations(range(sum(copies))))
+        ends = list(itertools.accumulate(copies))
+        classes = [ids[end - count:end] for count, end in zip(copies, ends)]
+        edges = [(a, b) for u, w in base.edges for a in classes[u] for b in classes[w]]
+        g = Graph(len(ids), edges)
+        for v in data.draw(st.permutations(range(g.n))):
+            for s in (r, r + 1):
+                assert find_tree(g, v, s).to_json() == fresh_json(g, v, s)
+        # Only a root with a twin stores its split, and every store is paid
+        # from the one budget.
+        assert all(twins.bit_count() >= 2 for _, twins, _ in g._splits.values())
+        if g._subtree_room is not None:
+            assert mask_bits(g) == cached_bits(g) + split_bits(g) + g._subtree_room
+
+    def test_twins_apart_in_id_order_select_apart(self):
+        # The path {2, 5} - {6} - {0, 4} - {7} - {1, 3} of twin classes.
+        # Roots 0 and 4 are twins, and the singletons 1, 2 and 3 lie between
+        # them in id order, so their top splits list the same items in two
+        # orders, and root 4 must not read root 0's selection.
+        classes = [[2, 5], [6], [0, 4], [7], [1, 3]]
+        g = Graph(8, [(a, b) for x, y in itertools.pairwise(classes) for a in x for b in y])
+        for v in (0, 4):
+            assert find_tree(g, v, 3).to_json() == fresh_json(g, v, 3)
+        assert len(g._splits) == 1
+
+    def test_twins_share_the_top_split_and_selection(self, monkeypatch):
+        # A work-count guard: every root of ms_layered(m), m = 3..30, on one
+        # graph per m.  Each part of the chain is a class of false twins.
+        # The ceilings are the counts measured when the top split was first
+        # cached under N(v); a later change may lower them, never raise them.
+        searches, selections = [], []
+        split, select = finders._component_masks, finders.select_weighted
+
+        def counting_split(*args):
+            searches.append(1)
+            return split(*args)
+
+        def counting_select(inst):
+            selections.append(1)
+            return select(inst)
+
+        monkeypatch.setattr(finders, "_component_masks", counting_split)
+        monkeypatch.setattr(finders, "select_weighted", counting_select)
+        for m in range(3, 31):
+            g = ms_layered(m)
+            for v in range(g.n):
+                find_tree(g, v, 3)
+        assert len(searches) <= 4764, f"{len(searches)} component searches; ceiling and measured 4,764"
+        assert len(selections) <= 364, f"{len(selections)} selections; ceiling and measured 364"
 
 
 class TestBranchPairChoice:
