@@ -19,6 +19,20 @@ read by `WeightedBipartiteInstance.from_json` and written by its
 `to_json`.  Instances are immutable; solvers are pure apart
 from the explicit seed of the randomized selector, so concurrent use on
 shared instances is safe.
+
+A selection's A-side depends on the items only as a multiset: the same
+items in another order give select_weighted, select_uniform and
+solve_exact (with or without a target) the same `a_chosen`.  Every sum is
+a math.fsum, which is correctly rounded and so blind to the order of its
+terms, and every tie breaks by A-id, never by item index.  The finders
+rest on this when false twins share one selection (finders._grow).
+
+solve_exact and oracle.admissible_naive raise weights with `w ** alpha`,
+which is C `pow`; at alpha = 0.5 it differs from math.sqrt in the last
+bit on some weights, so select_weighted's fallback compares pow-sums with
+a sqrt target, within LEMMA_SLACK.  It stays `pow`: taking math.sqrt at
+alpha = 0.5 moves the selections that EXACT_SHA256 in
+tests/test_determinism.py pins.
 """
 
 from __future__ import annotations

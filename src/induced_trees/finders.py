@@ -80,8 +80,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Guards every graph's cache budget, so concurrent finders cannot both
-# spend the last of it; a root stores at most deg(v) subtrees, one split
-# and one selection.
+# spend the last of it; a root stores at most deg(v) subtrees and one
+# split entry.
 _SUBTREE_LOCK = threading.Lock()
 
 NOT_INDUCED_TREE = "not-induced-tree"
@@ -159,7 +159,7 @@ class TreeCertificate:
 def certificate_failure(g: Graph, cert: TreeCertificate) -> Optional[str]:
     """None if the certificate holds against g, else a reason code."""
     vs = cert.vertices
-    if not vs or any(not (0 <= x < g.n) for x in vs):
+    if not vs or min(vs) < 0 or max(vs) >= g.n:
         return NOT_INDUCED_TREE
     if not is_induced_tree(g, vs):
         return NOT_INDUCED_TREE
@@ -226,55 +226,50 @@ def _first_attachment(masks, nv_mask: int, comp: int) -> int:
 
 
 def _select_attached(
-    g: Graph, nv_mask: int, comp_masks: list[int], select, entry: Optional[tuple]
+    g: Graph, nv_mask: int, comp_masks: list[int], select, entry: Optional[list]
 ) -> dict[int, int]:
     """Run `select` on the attachment instance of the components around the
     root's neighbourhood `nv_mask`; maps each chosen component's index, in
     ascending order, to its one chosen attachment vertex.  `entry` is the
-    split's cache entry from `_split`, which keeps the answer (see _grow),
-    or None."""
-    if entry is not None:
-        _, twins, picks = entry
-        key = (select, tuple(0 if comp & twins else comp for comp in comp_masks))
-        attach = picks.get(key)
-        if attach is not None:
-            return attach
-    a_list = list(_iter_bits(nv_mask))
-    inst = _attachment_instance(g.adjacency_masks, a_list, comp_masks)
-    sel = select(inst)
-    s_mask = _mask_of(sel.a_chosen)
-    only = {i: inst.nbr_masks[i] & s_mask for i in sorted(sel.b_chosen)}
-    assert all(m.bit_count() == 1 for m in only.values())
-    attach = {i: a_list[m.bit_length() - 1] for i, m in only.items()}
-    if entry is not None:
-        _store(g, picks, key, attach, sum(map(int.bit_length, attach.values())))
+    split's cache entry from `_split`, which keeps the chosen attachments
+    (see _grow), or None."""
+    masks = g.adjacency_masks
+    s_mask = entry[1] if entry is not None else None
+    sel = None
+    if s_mask is None:
+        a_list = _iter_bits(nv_mask)
+        sel = select(_attachment_instance(masks, a_list, comp_masks))
+        s_mask = _mask_of(a_list[a] for a in sel.a_chosen)
+        if entry is not None:
+            entry[1] = s_mask
+    s_list = _iter_bits(s_mask)
+    seen = [[a for a in s_list if masks[a] & comp] for comp in comp_masks]
+    attach = {i: only[0] for i, only in enumerate(seen) if len(only) == 1}
+    assert sel is None or attach.keys() == sel.b_chosen
     return attach
 
 
 def _split(
-    g: Graph, size: int, v: int, nv_mask: int, rest: int
-) -> tuple[list[int], Optional[tuple]]:
+    g: Graph, size: int, v: int, nv_mask: int, rest: int, r: int
+) -> tuple[list[int], Optional[list]]:
     """The components of `rest`, what is left of a step's region of `size`
     vertices without the root v and N(v) = `nv_mask`, ordered by lowest
-    vertex, and the cache entry for N(v) if the step is the top one and
-    has one (see _grow), else None."""
+    vertex, and the cache entry for (r, N(v)) if the step is the top one
+    and has one (see _grow), else None."""
     masks = g.adjacency_masks
     top = size == g.n
-    entry = g._splits.get(nv_mask) if top else None
+    entry = g._splits.get((r, nv_mask)) if top else None
     if entry is not None:  # stored by a twin of v
         comps = entry[0].copy()
         comps.remove(1 << v)
         return comps, entry
     comps = _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)
-    if top:
-        low_nbrs = _iter_bits(masks[_low_bit(nv_mask)])
-        twins = _mask_of(x for x in low_nbrs if masks[x] == nv_mask)
-        if twins != 1 << v:
-            full = sorted([*comps, 1 << v], key=_low_bit)
-            entry = (full, twins, {})
-            bits = sum(map(int.bit_length, full), nv_mask.bit_length() + twins.bit_length())
-            if not _store(g, g._splits, nv_mask, entry, bits):
-                entry = None
+    if top and any(masks[x] == nv_mask and x != v for x in _iter_bits(masks[_low_bit(nv_mask)])):
+        full = sorted([*comps, 1 << v], key=_low_bit)
+        entry = [full, None]
+        bits = sum(map(int.bit_length, full), 2 * nv_mask.bit_length())
+        if not _store(g, g._splits, (r, nv_mask), entry, bits):
+            entry = None
     return comps, entry
 
 
@@ -306,31 +301,31 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     per root.
 
     The split cache: the top step's split, which `_split` makes for both
-    `_tf` and `_kr`, is kept in g._splits under the root's neighbourhood
-    N(v).  Roots with one neighbourhood are false twins, and each is a lone
-    vertex once N(v) is removed, so V \\ N[v'] is V \\ N[v] with the singleton
-    {v'} swapped for {v}.  An entry holds the components of V \\ N(v),
-    ordered by lowest vertex, the mask of v's twins (v among them) and the
-    selections made from its splits; a twin's split is that list without
-    its own singleton, the list `_component_masks` would return.  A
-    selection is a pure function of its instance, and the instance's items
-    are the components' sizes and attachments.  Every twin singleton has
-    size 1 and sees all of N(v), so `_select_attached` keys a selection by
-    the selector and the components with each twin singleton written as 0,
-    which fixes the items: two twins with another component's lowest vertex
-    between them in id order list the items in two orders and select
-    apart.  So a cached split or selection is the one the step would make
-    again, and no certificate changes.  An entry is stored only when the
-    root has a twin: every twin of v sees v's lowest neighbour, so the test
-    reads that vertex's degree in masks, and a twin-free root stores
-    nothing.  Deeper steps are not cached.
+    `_tf` and `_kr`, is kept in g._splits under (r, N(v)).  Roots with one
+    neighbourhood are false twins, and each is a lone vertex once N(v) is
+    removed, so V \\ N[v'] is V \\ N[v] with the singleton {v'} swapped for
+    {v}.  An entry is a list: the components of V \\ N(v), ordered by lowest
+    vertex, and S, the mask of the attachment vertices the step's selection
+    chose, set by the first selection.  A twin's split is the component
+    list without its own singleton, the list `_component_masks` would
+    return.  Every twin singleton has size 1 and sees all of N(v), so the
+    twins' instances hold the same items, in orders that differ only in
+    where the singletons fall (`_kr`'s size filter keeps or drops them
+    alike); a selection's A-side depends on its items only as a multiset
+    (see admissible), so S is the one the step would choose again.  On a
+    hit and on a miss alike, the chosen components are those that exactly
+    one vertex of S sees, with that vertex as their attachment, so no
+    certificate changes.  An entry is stored only when the root has a
+    twin: every twin of v sees v's lowest neighbour, so the test reads that
+    vertex's degree in masks, and a twin-free root stores nothing.  Deeper
+    steps are not cached.
 
     g._subtree_room is the bit budget both caches share, set on the first
     store to the bits of g's adjacency masks (the sum of their bit lengths)
     and spent under _SUBTREE_LOCK.  A subtree costs the bit lengths of its
-    region and its value; a split entry those of its key, its components
-    and its twin mask; a selection those of its attachment vertices, since
-    its key holds the entry's own components.  What does not fit is not
+    region and its value.  A split entry costs twice the bit length of
+    N(v), for its key and for S, a subset of N(v), plus those of its
+    components, all paid when it is stored.  What does not fit is not
     stored, so the caches at most double a graph's memory.  That bound is
     what holds on a cycle, whose roots share no subproblem and have no
     twin."""
@@ -405,7 +400,7 @@ def _tf(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
     if nv_mask.bit_count() ** 2 >= size - 1:
         return (1 << v) | nv_mask, "star", []
     rest = region ^ nv_mask ^ (1 << v)
-    comps, entry = _split(g, size, v, nv_mask, rest)
+    comps, entry = _split(g, size, v, nv_mask, rest, r)
     if len(comps) == 1:  # meets the lemma alone, at select_weighted's pick
         attach = {0: _first_attachment(masks, nv_mask, comps[0])}
     else:
@@ -456,7 +451,12 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
     masks = g.adjacency_masks
     n = size - 1
     nv_mask = masks[v] & region
-    b_need = max(1, math.ceil(theorem_bound(n, r)))
+    r4 = r ** 4
+    # ceil(theorem_bound(n, r)), at least 1, in integers: the least b >= 1
+    # with r^(4b) >= n.
+    b_need, reach = 1, r4
+    while reach < n:
+        b_need, reach = b_need + 1, reach * r4
 
     if nv_mask.bit_count() ** 4 >= n:
         return (1 << v) | _extract(masks, nv_mask, r, b_need), "ramsey-star", []
@@ -468,8 +468,7 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
             fixed = (1 << v) | (1 << w) | _extract(masks, outside, r, b_need)
             return fixed, "ramsey-broom", []
 
-    comps, entry = _split(g, size, v, nv_mask, rest)
-    r4 = r ** 4
+    comps, entry = _split(g, size, v, nv_mask, rest, r)
 
     big = max(comps, key=int.bit_count, default=0)
     if big.bit_count() * r4 > n:

@@ -145,8 +145,9 @@ class Graph:
     cached lazily, which is safe because instances never change.
 
     `_subtrees`, `_splits` and `_subtree_room` are the finders' subtree
-    cache, their cache of top-step splits by the root's neighbourhood, and
-    the bit budget the two share, kept as `finders._grow` describes.
+    cache, their cache of top-step splits and chosen attachments by r and
+    the root's neighbourhood, and the bit budget the two share, kept as
+    `finders._grow` describes.
     """
 
     # One slot per cached answer, and one for the finders' shared budget: a
@@ -181,7 +182,7 @@ class Graph:
         self._sweep: Optional[tuple[list[int], int]] = None
         self._cliques: dict[int, Optional[frozenset[int]]] = {}
         self._subtrees: dict[tuple[int, int, int], int] = {}
-        self._splits: dict[int, tuple[list[int], int, dict]] = {}
+        self._splits: dict[tuple[int, int], list] = {}
         self._subtree_room: Optional[int] = None
 
     @property

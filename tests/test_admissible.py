@@ -465,6 +465,19 @@ class TestSelectionInvariant:
         for select in (solve_exact, select_weighted, select_uniform):
             select(inst).check(inst)
 
+    @settings(max_examples=100, deadline=None)
+    @given(instance_inputs(wide=True), st.sampled_from([0.5, 0.8, 1.0]), st.data())
+    def test_the_a_side_depends_on_the_items_only_as_a_multiset(self, given_input, alpha, data):
+        # The same items in a drawn order choose the same A-ids: false twins
+        # share one selection on this (finders._grow).
+        a, items = given_input
+        inst = WeightedBipartiteInstance(a, items)
+        other = WeightedBipartiteInstance(a, data.draw(st.permutations(items)))
+        for select in (select_weighted, select_uniform, lambda i: solve_exact(i, alpha)):
+            assert select(other).a_chosen == select(inst).a_chosen
+        target = data.draw(st.floats(0.0, 1.0)) * solve_exact(inst, alpha).value
+        assert solve_exact(other, alpha, target).a_chosen == solve_exact(inst, alpha, target).a_chosen
+
     def test_value_mismatch_is_caught(self):
         inst = matching_instance(2)
         bad = AdmissibleSelection(frozenset({0}), frozenset({0}), 5.0, 0.5)

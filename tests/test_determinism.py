@@ -3,17 +3,22 @@ lists.  Certificates are documented to be byte-identical across runs and
 across refactors, so any change to a finder's choices, a certificate's
 JSON form or the edge-list format moves this digest."""
 
+import ast
 import hashlib
+import inspect
 import json
 import math
 import random
 from functools import cache
 
-from graph_cases import cycle_graph, path_graph, suite_run
+import pytest
+
+from graph_cases import complete_bipartite, cycle_graph, path_graph, suite_run
 from induced_trees import (
     Graph,
     OracleBudget,
     find_large_tree,
+    find_tree,
     find_tree_kr_free,
     find_tree_triangle_free,
     format_edge_list,
@@ -23,6 +28,7 @@ from induced_trees import (
     reroute_through_vertex,
     solve_exact,
 )
+from induced_trees import admissible, finders
 from induced_trees.bench import (
     _sample_roots,
     connected_ensemble,
@@ -38,6 +44,9 @@ from induced_trees.generators import (
     random_triangle_free,
 )
 
+# For r >= 4 each certificate's claimed_bound is ln(n)/(4 ln r) + 1 as
+# glibc's `log` rounds it, so this digest pins those digits too; no step
+# decision reads a `log` (the guards at the end of this file).
 GOLDEN_SHA256 = "0512babea614ce8e1ccbf20ed7edf2a97aad55b243b5d281b07c1ee94faf5bea"
 
 
@@ -214,3 +223,50 @@ def _oracle_records():
 
 def test_oracle_witnesses_match_golden_digest():
     assert _digest(_oracle_records()) == ORACLE_SHA256
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+@pytest.mark.parametrize("towards", [math.inf, -math.inf])
+def test_the_ramsey_size_does_not_rest_on_log(monkeypatch, r, towards):
+    # At the root of K_{1,r^4}, ln(n)/(4 ln r) is exactly 1 at n = r^4, so a
+    # `log` one ulp off there would ask Ramsey extraction for 2 leaves, not
+    # 1.  Only the claimed bound may read the changed `log`.
+    expected = find_tree(complete_bipartite(1, r ** 4), 0, r)
+    real_log = math.log
+
+    def off_by_one_ulp(x, *base):
+        value = real_log(x, *base)
+        return math.nextafter(value, towards) if x == r ** 4 and not base else value
+
+    monkeypatch.setattr(finders.math, "log", off_by_one_ulp)
+    cert = find_tree(complete_bipartite(1, r ** 4), 0, r)
+    assert (cert.vertices, cert.strategy) == (expected.vertices, "ramsey-star")
+
+
+# The functions that make the finders' step decisions.  Each decision is an
+# integer test or a correctly rounded sqrt or fsum, never libm's `log`,
+# `exp` or `pow`: every `**` has an integer literal exponent, and
+# theorem_bound, whose `log` writes only the claimed bound, is not called.
+STEP_FUNCTIONS = [
+    (finders, "_tf"),
+    (finders, "_kr"),
+    (finders, "_split"),
+    (finders, "_select_attached"),
+    (admissible, "select_weighted"),
+    (admissible, "select_uniform"),
+]
+
+
+@pytest.mark.parametrize("module, name", STEP_FUNCTIONS, ids=[name for _, name in STEP_FUNCTIONS])
+def test_step_decisions_read_no_libm_log_exp_or_pow(module, name):
+    found = []
+    for node in ast.walk(ast.parse(inspect.getsource(getattr(module, name)))):
+        if isinstance(node, ast.Attribute) and node.attr in ("log", "exp", "pow"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id in ("theorem_bound", "pow"):
+            found.append(node.id)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = node.right
+            if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
+                found.append(ast.unparse(node))
+    assert found == []

@@ -461,12 +461,12 @@ def mask_bits(g):
 
 
 def split_bits(g):
-    """The bits the top-split cache holds: each entry's key, components and
-    twin mask, and the attachment vertices of its selections."""
+    """The bits the top-split cache was paid: for each entry, twice its
+    neighbourhood's (for the key and the chosen attachments) and its
+    components'."""
     return sum(
-        key.bit_length() + twins.bit_length() + sum(map(int.bit_length, full))
-        + sum(u.bit_length() for attach in picks.values() for u in attach.values())
-        for key, (full, twins, picks) in g._splits.items()
+        2 * nv_mask.bit_length() + sum(map(int.bit_length, full))
+        for (_, nv_mask), (full, _) in g._splits.items()
     )
 
 
@@ -562,7 +562,7 @@ class TestSubtreeCache:
                 assert find_tree(g, v, s).to_json() == fresh_json(g, v, s)
         # Only a root with a twin stores its split, and every store is paid
         # from the one budget.
-        assert all(twins.bit_count() >= 2 for _, twins, _ in g._splits.values())
+        assert all(g.adjacency_masks.count(nv_mask) >= 2 for _, nv_mask in g._splits)
         if g._subtree_room is not None:
             assert mask_bits(g) == cached_bits(g) + split_bits(g) + g._subtree_room
 
@@ -570,12 +570,31 @@ class TestSubtreeCache:
         # The path {2, 5} - {6} - {0, 4} - {7} - {1, 3} of twin classes.
         # Roots 0 and 4 are twins, and the singletons 1, 2 and 3 lie between
         # them in id order, so their top splits list the same items in two
-        # orders, and root 4 must not read root 0's selection.
+        # orders; root 4 must still find root 0's split entry.
         classes = [[2, 5], [6], [0, 4], [7], [1, 3]]
         g = Graph(8, [(a, b) for x, y in itertools.pairwise(classes) for a in x for b in y])
         for v in (0, 4):
             assert find_tree(g, v, 3).to_json() == fresh_json(g, v, 3)
         assert len(g._splits) == 1
+
+    def test_twins_apart_in_id_order_share_one_selection(self, monkeypatch):
+        # The graph above: root 4's items are root 0's in another order, and
+        # a selection's A-side depends on its items only as a multiset, so
+        # root 4 reads root 0's chosen attachments and selects nothing.
+        classes = [[2, 5], [6], [0, 4], [7], [1, 3]]
+        g = Graph(8, [(a, b) for x, y in itertools.pairwise(classes) for a in x for b in y])
+        expected = {v: fresh_json(g, v, 3) for v in (0, 4)}
+        selections = []
+        select = finders.select_weighted
+
+        def counting_select(inst):
+            selections.append(1)
+            return select(inst)
+
+        monkeypatch.setattr(finders, "select_weighted", counting_select)
+        for v in (0, 4):
+            assert find_tree(g, v, 3).to_json() == expected[v]
+        assert len(selections) == 1
 
     def test_twins_share_the_top_split_and_selection(self, monkeypatch):
         # A work-count guard: every root of ms_layered(m), m = 3..30, on one
