@@ -80,8 +80,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Guards every graph's cache budget, so concurrent finders cannot both
-# spend the last of it; a root stores at most deg(v) subtrees and one
-# split entry.
+# spend the last of it.
 _SUBTREE_LOCK = threading.Lock()
 
 NOT_INDUCED_TREE = "not-induced-tree"
@@ -285,20 +284,25 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     rooted at v, with the top step's strategy; its claimed bound,
     theorem_bound(n - 1, r) + 1, is written only here.
 
-    The subtree cache: each subproblem the top step hands down is looked up
-    in g._subtrees under (r, region, root), whose value is the bitmask of
-    every tree vertex fixed at or below it; on a miss `_subtree` solves it
-    and the result is stored, and a hit skips the whole subtree, so runs at
-    many roots of one graph share work.  A subproblem of at most 2 vertices,
-    which `_step` takes whole, skips both the lookup and the store.  The
-    cache changes no certificate.  `_tf` and `_kr` are pure functions of g's
-    masks, the region, the root and r, so a cached subtree is the one
-    `_subtree` would build again; the tree is a union, so the order in which
-    subtrees are evaluated does not matter; and the strategy comes from the
-    top step, which runs at every root.  Only the top step's subproblems are
-    keys: a key per deeper level would hold an n-bit region each, about
-    400 MB for one root on P_40000, where this holds at most deg(v) entries
-    per root.
+    The subtree cache: g._subtrees maps (r, region, root) to the bitmask of
+    every tree vertex fixed at or below that subproblem.  `_subtree` looks
+    each subproblem up before its step, and stores a step's union once all
+    its pending subproblems are done; a hit skips the whole subtree, so
+    runs at many roots of one graph share work.  A subproblem of at most 2
+    vertices, which `_step` takes whole, skips both the lookup and the
+    store.  The top step's subproblems are always keys.  Those below are
+    keys only if g._subtrees held an entry when the run began, that is
+    once the graph has served a root that split: the first root does the
+    top step's lookups and stores alone.  Storing every level from the
+    first root slowed a single-root find, which reads none of it back, by
+    12-17% on C_1500 and 1-8% on random_triangle_free(1000) and (3000);
+    with this rule the first root runs as fast as with the top step's keys
+    alone (CHANGES.md holds the timings).  The cache changes no
+    certificate.  `_tf` and `_kr` are pure functions of g's masks, the
+    region, the root and r, so a cached subtree is the one `_subtree` would
+    build again; the tree is a union, so the order in which subtrees are
+    evaluated does not matter; and the strategy comes from the top step,
+    which runs at every root.
 
     The split cache: the top step's split, which `_split` makes for both
     `_tf` and `_kr`, is kept in g._splits under (r, N(v)).  Roots with one
@@ -318,7 +322,7 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     certificate changes.  An entry is stored only when the root has a
     twin: every twin of v sees v's lowest neighbour, so the test reads that
     vertex's degree in masks, and a twin-free root stores nothing.  Deeper
-    steps are not cached.
+    steps' splits are not cached.
 
     g._subtree_room is the bit budget both caches share, set on the first
     store to the bits of g's adjacency masks (the sum of their bit lengths)
@@ -326,24 +330,19 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     region and its value.  A split entry costs twice the bit length of
     N(v), for its key and for S, a subset of N(v), plus those of its
     components, all paid when it is stored.  What does not fit is not
-    stored, so the caches at most double a graph's memory.  That bound is
-    what holds on a cycle, whose roots share no subproblem and have no
-    twin."""
+    stored, so the caches at most double a graph's memory, however many
+    levels are keys.  That bound is what holds on a cycle, whose roots
+    share no subproblem and have no twin."""
     _check_input(g, v)
     clique = find_triangle(g) if r == 3 else find_clique(g, r)
     if clique is not None:
         raise FinderPreconditionError(
             f"graph contains a clique of size {r}: {sorted(clique)}", witness=clique
         )
+    deep = bool(g._subtrees)
     tree, top, subproblems = _step(g, (1 << g.n) - 1, v, r)
-    cache = g._subtrees
     for region, root in subproblems:
-        key = (r, region, root)
-        below = region if region.bit_count() <= 2 else cache.get(key)
-        if below is None:
-            below = _subtree(g, region, root, r)
-            _store(g, cache, key, below, region.bit_length() + below.bit_length())
-        tree |= below
+        tree |= _subtree(g, region, root, r, deep)
     bound = theorem_bound(g.n - 1, r) + 1.0
     return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
 
@@ -358,22 +357,46 @@ def _step(g: Graph, region: int, root: int, r: int) -> tuple[int, str, list[tupl
     return (_tf if r == 3 else _kr)(g, region, size, root, r)
 
 
-def _subtree(g: Graph, region: int, root: int, r: int) -> int:
+def _subtree(g: Graph, region: int, root: int, r: int, deep: bool) -> int:
     """The tree vertices fixed at or below the (region, root) subproblem,
-    as a bitmask.  Pending subproblems wait on a stack, so no chain is too
-    long for the interpreter's recursion limit."""
-    tree = 0
+    as a bitmask, read from or stored in g._subtrees at that subproblem and,
+    if `deep`, at every one below it (see _grow).  Pending subproblems wait
+    on a stack in post-order, so no chain is too long for the interpreter's
+    recursion limit: a keyed step opens its union on `unions` and pushes
+    its key, with root None, under its subproblems; when the key comes back
+    off the stack, the union is complete and stored."""
+    cache = g._subtrees
+    unions = [0]
     stack = [(region, root)]
+    keyed = True
     while stack:
-        fixed, _, subproblems = _step(g, *stack.pop(), r)
-        tree |= fixed
+        region, root = stack.pop()
+        if root is None:  # `region` is the key of a step now done
+            below = unions.pop()
+            _store(g, cache, region, below, region[1].bit_length() + below.bit_length())
+            unions[-1] |= below
+            continue
+        if keyed and region.bit_count() > 2:
+            key = (r, region, root)
+            below = cache.get(key)
+            if below is not None:
+                unions[-1] |= below
+                continue
+            unions.append(0)
+            stack.append((key, None))
+        fixed, _, subproblems = _step(g, region, root, r)
+        unions[-1] |= fixed
         stack.extend(subproblems)
-    return tree
+        keyed = deep
+    return unions[0]
 
 
 def _store(g: Graph, cache: dict, key, value, bits: int) -> bool:
     """Put `value` in `cache`, one of g's finder caches, under a new `key`
     if its `bits` fit in g's bit budget (see _grow); True if stored."""
+    room = g._subtree_room
+    if room is not None and bits > room:  # the budget only shrinks
+        return False
     with _SUBTREE_LOCK:
         if g._subtree_room is None:
             g._subtree_room = sum(map(int.bit_length, g.adjacency_masks))

@@ -145,12 +145,15 @@ class Graph:
     cached lazily, which is safe because instances never change.
 
     `_subtrees`, `_splits` and `_subtree_room` are the finders' subtree
-    cache, their cache of top-step splits and chosen attachments by r and
-    the root's neighbourhood, and the bit budget the two share, kept as
+    cache, keyed by (r, region, root) at the top step's subproblems and,
+    once some root has split, at every level below, their cache of
+    top-step splits and chosen attachments by r and the root's
+    neighbourhood, and the bit budget the two share, kept as
     `finders._grow` describes.
     """
 
-    # One slot per cached answer, and one for the finders' shared budget: a
+    # One slot per cached answer, and one for the finders' shared budget,
+    # which bounds the two finder caches together at the masks' bits: a
     # misspelt name raises instead of silently missing the cache.
     __slots__ = (
         "n", "edge_count", "adjacency_masks", "_sweep", "_cliques", "_subtrees", "_splits",
@@ -407,7 +410,12 @@ def has_clique(g: Graph, r: int) -> bool:
 
 
 def is_induced_tree(g: Graph, s: Iterable[int]) -> bool:
-    """True iff the subgraph induced on s is connected with |s|-1 edges."""
+    """True iff the subgraph induced on s is connected with |s|-1 edges.
+
+    The edge count reads each vertex's mask once.  Only if it passes, a BFS
+    from the highest vertex of s runs inside s and stops as soon as it has
+    reached all of s, so on a star it reads at most 2 more masks; unlike
+    `_reach`, it needs no marked set and so no last layer."""
     vs = frozenset(s)  # no copy of a certificate's frozenset
     s_mask = _mask_of(vs)
     if s_mask == 0:
@@ -421,7 +429,11 @@ def is_induced_tree(g: Graph, s: Iterable[int]) -> bool:
         twice_edges += (masks[v] & s_mask).bit_count()
     if twice_edges != 2 * (k - 1):
         return False
-    return _reach(masks, 1 << (s_mask.bit_length() - 1), s_mask)[0] == s_mask
+    visited = frontier = 1 << (s_mask.bit_length() - 1)
+    while frontier and visited != s_mask:
+        frontier = _neighbour_union(masks, frontier) & (s_mask ^ visited)
+        visited |= frontier
+    return visited == s_mask
 
 
 def shortest_path(g: Graph, start: int, to_set: Iterable[int]) -> list[int]:

@@ -243,6 +243,38 @@ def test_the_ramsey_size_does_not_rest_on_log(monkeypatch, r, towards):
     assert (cert.vertices, cert.strategy) == (expected.vertices, "ramsey-star")
 
 
+def _kr_free_cases():
+    """(r, graph, roots): the kr-free bench suite's graphs at seed 1 and
+    count 20 at its roots, then the K_r-free inputs of LARGE_SHA256."""
+    for r in (4, 5):
+        graphs = [line_graph_balanced_tree(r, depth) for depth in (2, 3, 4)]
+        graphs += [g for _, g in kr_free_ensemble(1 + r, r, _BENCH_COUNTS["kr-free"])]
+        for g in graphs:
+            yield r, g, _sample_roots(g.n)
+    _, kr_free = _large_random_graphs()
+    for r, g in [(4, line_graph_balanced_tree(4, 10))] + list(zip((4, 5), kr_free)):
+        yield r, g, _sample_roots(g.n)
+
+
+def _kr_free_trees():
+    """Each case's (vertex set, strategy) per root, on a fresh copy of its
+    graph, so no finder cache carries over from another run."""
+    trees = []
+    for r, g, roots in _kr_free_cases():
+        fresh = Graph(g.n, g.edges)
+        trees.append([(cert.vertices, cert.strategy) for cert in (find_tree(fresh, v, r) for v in roots)])
+    return trees
+
+
+@pytest.mark.parametrize("towards", [math.inf, -math.inf])
+def test_no_kr_free_certificate_rests_on_log(monkeypatch, towards):
+    # Every `log` one ulp off: only the claimed bounds may move.
+    expected = _kr_free_trees()
+    real_log = math.log
+    monkeypatch.setattr(finders.math, "log", lambda *args: math.nextafter(real_log(*args), towards))
+    assert _kr_free_trees() == expected
+
+
 # The functions that make the finders' step decisions.  Each decision is an
 # integer test or a correctly rounded sqrt or fsum, never libm's `log`,
 # `exp` or `pow`: every `**` has an integer literal exponent, and

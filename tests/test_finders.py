@@ -438,17 +438,19 @@ def test_each_selection_builds_one_instance(monkeypatch):
             find_tree(ms_layered(m), v, 3)
     assert len(built) == len(selections) == len(choices)
     assert (len(selections), len(splits)) == (120, 616)
-    # One graph per m: later roots read the subtrees cached below earlier
-    # roots' first splits, and a false twin of an earlier root reads its
-    # top split and selection, so fewer splits and selections run.  Each
-    # part of the chain is one class of twins, with consecutive ids.
+    # One graph per m: later roots read the subtrees cached at every level
+    # below earlier roots' first splits, and a false twin of an earlier
+    # root reads its top split and selection, so fewer splits and
+    # selections run.  Each part of the chain is one class of twins, with
+    # consecutive ids.  Caching only the top step's subproblems ran 272
+    # splits.
     del built[:], selections[:], splits[:], choices[:]
     for m in range(3, 13):
         g = ms_layered(m)
         for v in range(g.n):
             find_tree(g, v, 3)
     assert len(built) == len(selections) == len(choices)
-    assert (len(selections), len(splits)) == (40, 272)
+    assert (len(selections), len(splits)) == (40, 165)
 
 
 def cached_bits(g):
@@ -618,8 +620,50 @@ class TestSubtreeCache:
             g = ms_layered(m)
             for v in range(g.n):
                 find_tree(g, v, 3)
-        assert len(searches) <= 4764, f"{len(searches)} component searches; ceiling and measured 4,764"
+        assert len(searches) <= 1329, f"{len(searches)} component searches; ceiling and measured 1,329"
         assert len(selections) <= 364, f"{len(selections)} selections; ceiling and measured 364"
+
+    @pytest.mark.parametrize(
+        "make, r, roots",
+        [
+            (lambda: random_triangle_free(300, 4 / 300, 300), 3, (0, 150)),
+            (lambda: cycle_graph(50), 3, (0, 25)),
+            (lambda: line_graph_balanced_tree(4, 10), 4, (76, 1611)),
+        ],
+        ids=["random-triangle-free-300", "cycle-50", "line-graph-4-10"],
+    )
+    def test_the_first_root_stores_only_its_top_subproblems(self, make, r, roots):
+        # The admission rule: below the top step, subtrees are looked up and
+        # stored only once the graph holds an entry.  So every key the first
+        # root stores is one of its top subproblems, rooted at a neighbour;
+        # the second root then stores levels below its top.
+        g = make()
+        first, second = roots
+        find_tree(g, first, r)
+        assert g._subtrees
+        assert all(g.has_edge(first, root) for _, _, root in g._subtrees)
+        find_tree(g, second, r)
+        assert any(
+            not (g.has_edge(first, root) or g.has_edge(second, root)) for _, _, root in g._subtrees
+        )
+
+    def test_spaced_roots_share_every_level(self, monkeypatch):
+        # A work-count guard: 20 spaced roots of one line graph, where later
+        # roots reach subproblems that earlier ones solved below their top
+        # step.  Caching only the top step's subproblems ran 301 component
+        # searches; caching every level runs 161, the ceiling.
+        searches = []
+        split = finders._component_masks
+
+        def counting_split(*args):
+            searches.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(finders, "_component_masks", counting_split)
+        g = line_graph_balanced_tree(4, 10)
+        for v in sorted({(2 * i + 1) * g.n // 40 for i in range(20)}):
+            find_tree(g, v, 4)
+        assert len(searches) <= 161, f"{len(searches)} component searches; ceiling and measured 161"
 
 
 class TestBranchPairChoice:

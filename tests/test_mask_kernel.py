@@ -16,6 +16,7 @@ from graph_cases import (
     WIDTH,
     CountingMasks,
     bits_of,
+    complete_bipartite,
     cycle_graph,
     kernel_graphs,
     neighbour_sets,
@@ -212,6 +213,25 @@ def test_is_induced_tree_equals_a_set_check(case, data):
     edges = sum(len(nbrs[v] & s) for v in s) // 2
     expected = edges == len(s) - 1 and len(set_components(nbrs, s)) == 1
     assert is_induced_tree(g, s) == expected
+
+
+def test_is_induced_tree_stops_once_the_set_is_reached():
+    # The edge count reads each of the 51 masks once.  The BFS from leaf 50
+    # then reaches the centre and, through it, every leaf after 2 reads;
+    # walking on to the last layer would read the 49 other leaves too.
+    g = complete_bipartite(1, 50)
+    g.adjacency_masks = masks = CountingMasks(g.adjacency_masks)
+    assert is_induced_tree(g, range(51))
+    assert masks.reads <= 51 + 2
+
+
+@pytest.mark.parametrize("apart", [0, 9])
+def test_a_cycle_beside_a_vertex_is_no_tree(apart):
+    # C_4 on 1..4 and one vertex apart: 4 edges on 5 vertices, so the edge
+    # count passes, and the BFS runs out of frontier short of the set,
+    # after the cycle (apart = 0) or at once (apart = 9, the highest).
+    g = Graph(10, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert not is_induced_tree(g, {1, 2, 3, 4, apart})
 
 
 @settings(max_examples=200, deadline=None)
