@@ -142,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a reproducible benchmark suite")
     p_bench.add_argument("suite", choices=bench.SUITES)
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--count", type=int, help="override the suite's ensemble size")
+    p_bench.add_argument("--count", type=int, help="override the suite's ensemble size; "
+                         "unbounded, and the run's time grows linearly with it")
     p_bench.add_argument("--out", type=Path)
     return parser
 

@@ -284,6 +284,14 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     rooted at v, with the top step's strategy; its claimed bound,
     theorem_bound(n - 1, r) + 1, is written only here.
 
+    Clique search is NP-hard, so the K_r check for r >= 4 is bounded, as
+    graph._first_clique describes: a degree pre-scan and a colouring bound
+    keep it small on sparse graphs and polynomial on complete multipartite
+    ones, and past graph.CLIQUE_NODE_CAP nodes it raises
+    graph.CliqueSearchLimitError, a ValueError, so an input such as the
+    Keller graph G_4 at r = 13 is refused within seconds (the CLI exits 2)
+    instead of searched for hours.
+
     The subtree cache: g._subtrees maps (r, region, root) to the bitmask of
     every tree vertex fixed at or below that subproblem.  `_subtree` looks
     each subproblem up before its step, and stores a step's union once all

@@ -18,16 +18,22 @@ through a two's complement copy of the whole mask, which costs several
 times a plain `a & b` on a wide mask.  The two loops, `_first_clique` and
 `ramsey._extract`, keep `m & -m` for their lowest bit because there the
 call to `_low_bit` measured slower than the copy (CHANGES.md holds the
-timings).  tests/test_mask_kernel.py checks the rule.
+timings).  The greedy colouring that bounds `_first_clique` keeps to the
+rule: it scans its class from the top bit and drops a vertex's
+neighbours with `q ^= q & masks[x]`.  tests/test_mask_kernel.py checks
+the rule.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
+from itertools import compress, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
+    "CliqueSearchLimitError",
     "EdgeListParseError",
     "Graph",
     "components_of",
@@ -352,6 +358,45 @@ def is_triangle_free(g: Graph) -> bool:
     return find_triangle(g) is None
 
 
+# The most nodes `_first_clique` visits before it gives up with
+# CliqueSearchLimitError; a node is a vertex the search tries to add, a top
+# start or a candidate below one.  The largest check of the benchmark's
+# kr-mixed workload visits 1,353 nodes, the K_1050 in K_1100 1,050, and
+# the K_41 check on the complete 40-partite graph with parts of 3 4,719.
+# The Keller graph G_4 holds no K_13, which the colouring bound does not
+# prove; at this cap the check gives up after 4–5 s (CHANGES.md holds
+# the counts and timings).
+CLIQUE_NODE_CAP = 1 << 20
+
+
+class CliqueSearchLimitError(ValueError):
+    """A clique search visited CLIQUE_NODE_CAP nodes without deciding
+    whether the clique exists."""
+
+    def __init__(self, size: int, n: int, cap: int):
+        super().__init__(
+            f"undecided: the search for a clique of size {size} in {n} vertices "
+            f"stopped at the node cap of {cap} (graph.CLIQUE_NODE_CAP)"
+        )
+
+
+def _colourable(masks: Sequence[int], vertices: int, colours: int) -> bool:
+    """True iff a greedy colouring of the `vertices` bitmask with at most
+    `colours` classes covers them all, which proves they hold no clique of
+    more than `colours` vertices.  Each class takes, from the top bit down,
+    every vertex left that sees none of the class so far."""
+    for _ in range(colours):
+        q = vertices
+        while q:
+            x = q.bit_length() - 1
+            q ^= q & masks[x]
+            q ^= 1 << x
+            vertices ^= 1 << x
+        if not vertices:
+            return True
+    return False
+
+
 def _first_clique(masks: Sequence[int], size: int, start: int = 0) -> Optional[tuple[int, ...]]:
     """Lexicographically smallest clique of the given size with no vertex
     below `start`, or None.
@@ -362,33 +407,83 @@ def _first_clique(masks: Sequence[int], size: int, start: int = 0) -> Optional[t
     graph, whatever the recursion limit: `cand` holds the vertices still
     to try after `chosen`, each adjacent to all of it, and `above[d]` what
     was left to try when `chosen[d]` was taken.
+
+    Three rules bound the search, and only the first two cut it:
+    - The top level counts every vertex's higher neighbours in one C-level
+      pass (a shift and a bit count per mask) and starts only from a vertex
+      with at least size - 1 of them, those neighbours its candidates.  On
+      a sparse graph most vertices have too few, and Python never visits
+      them.
+    - Below the top, before it takes a candidate v that leaves `need` >= 3
+      vertices to choose, counting v, the search colours v's own candidates
+      `inner` greedily (`_colourable`) with need - 2 classes; if that
+      covers them, `inner` holds no clique of the need - 1 vertices still
+      wanted, and v is skipped.  This is the colouring bound of Tomita and
+      Seki's MCQ, and keeps the K_{k+1} check on a complete k-partite graph
+      polynomial.  The top level is not coloured: on sparse graphs a
+      colouring there costs more than it saves.  Nor are the pushes made
+      before the search first backs out of one, at most size - 2 of them:
+      a colouring that fails costs need - 2 classes, so colouring each push
+      on the way to a clique found without a back-out made a K_s cost
+      Θ(s²) colour steps, and `find_large_tree`'s r loop on K_n Θ(n³).
+    - Every vertex the search tries to add, a top start or a candidate
+      below one, is a node.  Past CLIQUE_NODE_CAP nodes it raises
+      CliqueSearchLimitError, which is a ValueError: an input whose check
+      stays undecided is refused, not run for hours.
+    Each cut drops only subtrees that hold no clique of the size sought,
+    and the rest are visited in the same depth-first order, lowest vertex
+    first; so the first clique found is still the lexicographically
+    smallest, which the generators' repair and the finders' witnesses rely
+    on.
     """
     if size <= 0:  # no vertex to choose; a negative size has no clique
         return () if size == 0 else None
-    chosen: list[int] = []
+    n = len(masks)
+    if size == 1:
+        return (start,) if start < n else None
+    higher = map(int.bit_count,
+                 map(operator.rshift, islice(masks, start, None), range(start + 1, n + 1)))
+    nodes_left = CLIQUE_NODE_CAP
+    # chosen[0] is the top start.  Each top's search leaves the two lists as
+    # it found them, so they are made once, not once per start.
+    chosen = [start]
     above: list[int] = []
-    cand = (1 << len(masks)) - (1 << start)
-    need = size
-    while True:
-        if cand.bit_count() >= need:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if need == 1:
-                chosen.append(v)
-                return tuple(chosen)
-            inner = cand & masks[v]
-            # A search below v with too few candidates would back out at once.
-            if inner.bit_count() >= need - 1:
-                chosen.append(v)
-                above.append(cand)
-                cand, need = inner, need - 1
-        elif above:
-            cand = above.pop()
-            chosen.pop()
-            need += 1
-        else:
-            return None
+    colour = False  # set at the first back-out
+    for top in compress(range(start, n), map((size - 1).__le__, higher)):
+        # Counted, not checked: a top start has size - 1 = need candidates
+        # or more, so a candidate below it is tried next and checks both.
+        nodes_left -= 1
+        chosen[0] = top
+        cand = masks[top] >> (top + 1) << (top + 1)
+        need = size - 1
+        while True:
+            if cand.bit_count() >= need:
+                nodes_left -= 1
+                if nodes_left < 0:
+                    raise CliqueSearchLimitError(size, n, CLIQUE_NODE_CAP)
+                low = cand & -cand
+                v = low.bit_length() - 1
+                cand ^= low
+                if need == 1:
+                    chosen.append(v)
+                    return tuple(chosen)
+                inner = cand & masks[v]
+                # A search below v with too few candidates, or with
+                # candidates that need - 2 colours cover, would back out.
+                if inner.bit_count() >= need - 1 and not (
+                    colour and need >= 3 and _colourable(masks, inner, need - 2)
+                ):
+                    chosen.append(v)
+                    above.append(cand)
+                    cand, need = inner, need - 1
+            elif above:
+                colour = True
+                cand = above.pop()
+                chosen.pop()
+                need += 1
+            else:
+                break
+    return None
 
 
 def find_clique(g: Graph, r: int) -> Optional[frozenset[int]]:

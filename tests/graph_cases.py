@@ -8,7 +8,7 @@ import functools
 import math
 import time
 from collections.abc import Sequence
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 from hypothesis import strategies as st
 
@@ -34,6 +34,27 @@ def complete_graph(n):
 
 def complete_bipartite(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def complete_multipartite(k, part=3):
+    """k parts of `part` vertices each, ids running part by part, and an
+    edge between every two vertices of different parts: K_k, no K_{k+1}."""
+    n = k * part
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // part != v // part])
+
+
+def keller_graph(d):
+    """The Keller graph G_d: vertices {0,1,2,3}^d, ids in lexicographic
+    order, two adjacent when they differ in at least two coordinates and
+    by 2 mod 4 in at least one.  G_3 has clique number 5, G_4 12."""
+    words = list(product(range(4), repeat=d))
+
+    def adjacent(a, b):
+        gaps = [(x - y) % 4 for x, y in zip(a, b)]
+        return len(gaps) - gaps.count(0) >= 2 and 2 in gaps
+
+    return Graph(len(words), [(i, j) for i, j in combinations(range(len(words)), 2)
+                              if adjacent(words[i], words[j])])
 
 
 def random_graph(n, p, rng):

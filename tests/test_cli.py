@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from graph_cases import keller_graph
+
 import induced_trees
 from induced_trees import (
     Graph,
@@ -24,7 +26,7 @@ from induced_trees import (
     load_edge_list,
     save_edge_list,
 )
-from induced_trees import bench, cli
+from induced_trees import bench, cli, graph
 from induced_trees.admissible import AdmissibleSelection
 from induced_trees.cli import main
 from induced_trees.generators import ms_layered
@@ -143,6 +145,18 @@ class TestFind:
         code, _, err = run(capsys, "find", str(path), "--root", "0", "--r", str(r))
         assert code == 2
         assert f"clique of size {r}: {list(range(r))}" in err
+
+    def test_an_undecided_clique_check_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The Keller graph G_4 holds K_12 but no K_13, which the colouring
+        # bound does not prove: the default cap gives up after 4–5 s,
+        # this one after 20,000 nodes.
+        monkeypatch.setattr(graph, "CLIQUE_NODE_CAP", 20_000)
+        path = tmp_path / "keller4.txt"
+        save_edge_list(keller_graph(4), path)
+        code, out, err = run(capsys, "find", str(path), "--root", "0", "--r", "13")
+        assert code == 2 and out == ""
+        assert "clique of size 13 in 256 vertices" in err and "node cap of 20000" in err
+        assert "Traceback" not in err and "internal failure" not in err
 
     def test_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
         n = sys.getrecursionlimit() + 100

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graph_cases import (
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
     connected_kr_free,
     cycle_graph,
     path_graph,
@@ -366,6 +367,14 @@ class TestFindLargeTree:
     def test_disconnected_rejected(self):
         with pytest.raises(FinderPreconditionError):
             find_large_tree(Graph(3, [(0, 1)]))
+
+    def test_complete_multipartite_dispatches_past_its_clique_number(self):
+        # The complete 20-partite graph with parts of 3 holds K_20, so the r
+        # loop decides K_3 up to K_21; the claimed bound names the r used.
+        g = complete_multipartite(20)
+        cert = find_large_tree(g)
+        assert cert.claimed_bound == theorem_bound(g.n - 1, 21) + 1.0
+        assert verify_certificate(g, cert)
 
     def test_single_vertex(self):
         cert = find_large_tree(Graph(1))

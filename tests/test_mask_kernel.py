@@ -5,6 +5,7 @@ again or merges the searches that meet; and the kernel rule of graph.py's
 docstring, checked on the package source."""
 
 import ast
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -17,14 +18,18 @@ from graph_cases import (
     CountingMasks,
     bits_of,
     complete_bipartite,
+    complete_multipartite,
     cycle_graph,
     kernel_graphs,
     neighbour_sets,
     path_graph,
+    random_graph,
     set_components,
     set_two_colouring,
+    small_graphs,
 )
 from induced_trees import (
+    CliqueSearchLimitError,
     Graph,
     find_clique,
     find_tree,
@@ -32,7 +37,8 @@ from induced_trees import (
     is_connected,
     is_induced_tree,
 )
-from induced_trees.generators import ms_layered, random_triangle_free
+from induced_trees import graph
+from induced_trees.generators import ms_layered, random_kr_free, random_triangle_free
 from induced_trees.graph import (
     _bfs_sweep,
     _component_masks,
@@ -234,18 +240,68 @@ def test_a_cycle_beside_a_vertex_is_no_tree(apart):
     assert not is_induced_tree(g, {1, 2, 3, 4, apart})
 
 
+@st.composite
+def clique_cases(draw):
+    """(g, size, start): a small graph with any size and start, or a dense
+    one on 10 to 14 vertices, each pair an edge with probability 0.7 to
+    0.85, asked for a clique of 6 or 7 vertices from near its lowest
+    vertex.  There sizes lie about the clique number, so searches back out
+    below the top and the colour rule prunes: in about a fifth of the
+    examples when written."""
+    if draw(st.booleans()):
+        g = draw(small_graphs(0, 14))
+        return g, draw(st.integers(0, 7)), draw(st.integers(0, g.n))
+    p = draw(st.floats(0.7, 0.85))
+    g = random_graph(draw(st.integers(10, 14)), p, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return g, draw(st.integers(6, 7)), draw(st.integers(0, 2))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 14), st.data())
-def test_first_clique_equals_the_first_combination(n, data):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
-    size = data.draw(st.integers(0, 5))
-    start = data.draw(st.integers(0, n))
+@given(clique_cases())
+def test_first_clique_equals_the_first_combination(case):
+    g, size, start = case
+    edges = g.edges
     cliques = (
-        c for c in combinations(range(start, n), size)
+        c for c in combinations(range(start, g.n), size)
         if all(pair in edges for pair in combinations(c, 2))
     )
-    assert _first_clique(Graph(n, edges).adjacency_masks, size, start) == next(cliques, None)
+    assert _first_clique(g.adjacency_masks, size, start) == next(cliques, None)
+
+
+def test_the_degree_prescan_bounds_the_sparse_check(monkeypatch):
+    # The largest K_r check of the benchmark's kr-mixed workload.  Only 461
+    # of the 2,000 vertices have the 3 higher neighbours that a K_4's lowest
+    # vertex needs, and the search starts from those alone: 461 top starts
+    # and 892 nodes below them.  Starting from every vertex would visit
+    # 2,892.  The cap is patched only after the generator's own repair.
+    g = random_kr_free(2000, 4, 3 / 2000, 4)
+    monkeypatch.setattr(graph, "CLIQUE_NODE_CAP", 1500)
+    assert find_clique(g, 4) is None
+
+
+# Nodes of the K_{k+1} check on the complete k-partite graph with parts of
+# 3, measured when the colour rule was written; they grow about as 3k^2.
+# The K_k check takes k.  Without the colour rule the K_{k+1} check is
+# exponential in k and runs past the ceiling even at k = 10.
+MULTIPARTITE_NODES = {10: 279, 20: 1161, 40: 4719}
+
+
+@pytest.mark.parametrize("k", sorted(MULTIPARTITE_NODES))
+def test_the_colour_rule_keeps_multipartite_checks_within_4k_squared_nodes(monkeypatch, k):
+    # The graph holds K_k but no K_{k+1}.  The search's own node count
+    # enforces the ceiling: the cap is patched down to it.
+    ceiling = 4 * k * k
+    g = complete_multipartite(k)
+    monkeypatch.setattr(graph, "CLIQUE_NODE_CAP", ceiling)
+    try:
+        found = find_clique(g, k + 1), find_clique(g, k)
+    except CliqueSearchLimitError:
+        pytest.fail(
+            f"a K_{k + 1} or K_{k} check on the complete {k}-partite graph visited more "
+            f"than the ceiling 4k^2 = {ceiling} nodes; the K_{k + 1} check measured "
+            f"{MULTIPARTITE_NODES[k]} when written"
+        )
+    assert found == (None, frozenset(range(0, 3 * k, 3)))
 
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "induced_trees").glob("*.py"))
