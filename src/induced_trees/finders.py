@@ -290,7 +290,8 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     ones, and past graph.CLIQUE_NODE_CAP nodes it raises
     graph.CliqueSearchLimitError, a ValueError, so an input such as the
     Keller graph G_4 at r = 13 is refused within seconds (the CLI exits 2)
-    instead of searched for hours.
+    instead of searched for hours.  find_clique caches the refusal with its
+    cap, so the graph's later roots are refused at once.
 
     The subtree cache: g._subtrees maps (r, region, root) to the bitmask of
     every tree vertex fixed at or below that subproblem.  `_subtree` looks

@@ -30,7 +30,7 @@ import operator
 import re
 import sys
 from itertools import compress, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "CliqueSearchLimitError",
@@ -189,7 +189,9 @@ class Graph:
         self.edge_count = count
         self.adjacency_masks: tuple[int, ...] = tuple(masks)
         self._sweep: Optional[tuple[list[int], int]] = None
-        self._cliques: dict[int, Optional[frozenset[int]]] = {}
+        # By size: the first clique, None if there is none, or the node cap
+        # an undecided search stopped at.
+        self._cliques: dict[int, Union[frozenset[int], None, int]] = {}
         self._subtrees: dict[tuple[int, int, int], int] = {}
         self._splits: dict[tuple[int, int], list] = {}
         self._subtree_room: Optional[int] = None
@@ -487,16 +489,29 @@ def _first_clique(masks: Sequence[int], size: int, start: int = 0) -> Optional[t
 
 
 def find_clique(g: Graph, r: int) -> Optional[frozenset[int]]:
-    """A clique of size r (the lexicographically smallest one), or None."""
+    """A clique of size r (the lexicographically smallest one), or None.
+
+    The answer is cached on g.  So is a search that stopped undecided, as
+    the node cap it stopped at: while CLIQUE_NODE_CAP is no larger, a
+    later call raises the same CliqueSearchLimitError at once instead of
+    spending the cap again; a larger cap searches again."""
     if r < 1:
         raise ValueError("clique size must be >= 1")
     if r == 3:
         find_triangle(g)
-    elif r not in g._cliques:
-        # A sweep that marks no vertex proves g bipartite: no K_r for r >= 3.
-        got = _first_clique(g.adjacency_masks, r) if r < 3 or _bfs_sweep(g)[1] else None
-        g._cliques[r] = frozenset(got) if got is not None else None
-    return g._cliques[r]
+        return g._cliques[3]
+    found = g._cliques.get(r, -1)  # an int: the cap an undecided search hit, or -1
+    if type(found) is int:
+        if CLIQUE_NODE_CAP <= found:
+            raise CliqueSearchLimitError(r, g.n, found)
+        try:
+            # A sweep that marks no vertex proves g bipartite: no K_r for r >= 3.
+            got = _first_clique(g.adjacency_masks, r) if r < 3 or _bfs_sweep(g)[1] else None
+        except CliqueSearchLimitError:
+            g._cliques[r] = CLIQUE_NODE_CAP
+            raise
+        found = g._cliques[r] = frozenset(got) if got is not None else None
+    return found
 
 
 def has_clique(g: Graph, r: int) -> bool:

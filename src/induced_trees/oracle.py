@@ -287,6 +287,20 @@ def admissible_naive(
     with math.fsum, as in the plain loop: item by item, ascending.  The
     time limit is checked before each high-half subset, so every 2^k
     subsets.
+
+    A half bound skips most high halves h before their lists are built.
+    Let reach be the classes some low id sees.  Every S = (h << k) | l sees
+    exactly once only classes in oh | ol, with ol inside reach, and none of
+    th, so its closure lies in room = (oh | reach) minus th.  The bound is
+    room's filter sum, the same chunk lookups added in the same order, and
+    h is skipped when it is <= cutoff.  No S under h passes the filter
+    then, since the filter sum never decreases as classes are added: a
+    table entry adds its classes in ascending order, and an added class
+    of w >= 0 only raises the sum, since fl(a + w) >= a and rounding is
+    monotone, so fl(a' + w) >= fl(a + w) for a' >= a; the chain over the
+    chunks grows the same way.  The bound is thus at least every S's
+    approximation under h, each of those S would have been skipped one by
+    one, and the same S are summed and the same S wins, ties included.
     """
     budget = budget or OracleBudget()
     _check_alpha(alpha)
@@ -315,10 +329,19 @@ def admissible_naive(
     # so approx >= 2^-1021 > best.  No fsum overflows: an instance refuses
     # weights whose total would, and an approx of inf only passes.
     keep = 1.0 - 4 * (len(wpow) + 2) * 2.0 ** -53
+    reach = lows[-1][0]  # the classes some low id sees
     best_val, best_mask, cutoff = -1.0, 0, -1.0
     for h, (oh, th) in enumerate(highs):
         if time.monotonic() > deadline:
             raise BudgetExceededError("oracle time limit exceeded")
+        # The half bound: no S under h sees a class once outside room.
+        seen = oh | reach
+        room = seen ^ (seen & th)
+        bound = first[room & chunk_mask]
+        for table, shift in rest:
+            bound += table[room >> shift & chunk_mask]
+        if bound <= cutoff:
+            continue
         onces = [(oh | ol) ^ (th | tl | (oh & ol)) for ol, tl in lows]
         approx = [first[x & chunk_mask] for x in onces]
         for table, shift in rest:

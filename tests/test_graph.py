@@ -16,6 +16,7 @@ from graph_cases import (
     small_graphs,
 )
 from induced_trees import (
+    CliqueSearchLimitError,
     EdgeListParseError,
     Graph,
     components_of,
@@ -218,6 +219,26 @@ class TestCachedAnswers:
             monkeypatch.setattr(graph, name, _never_called)
         assert (is_connected(g), find_triangle(g), find_clique(g, 3), find_clique(g, 2)) == first
         assert first == (True, None, None, frozenset({0, 1}))
+
+    def test_an_undecided_check_is_cached_with_its_cap(self, monkeypatch):
+        # G_4 holds no K_13, which 20,000 nodes do not prove: the second
+        # root refuses without a search, and so does a smaller cap, but a
+        # larger one searches again.
+        g = keller_graph(4)
+        searched = []
+        first_clique = graph._first_clique
+
+        def counted(masks, size, start=0):
+            searched.append(size)
+            return first_clique(masks, size, start)
+
+        monkeypatch.setattr(graph, "_first_clique", counted)
+        for cap, root, reached in ((20_000, 0, 20_000), (20_000, 255, 20_000),
+                                   (10_000, 0, 20_000), (40_000, 0, 40_000)):
+            monkeypatch.setattr(graph, "CLIQUE_NODE_CAP", cap)
+            with pytest.raises(CliqueSearchLimitError, match=f"node cap of {reached} "):
+                find_tree(g, root, 13)
+        assert searched == [13, 13]
 
     def test_a_misspelt_cache_slot_raises(self):
         with pytest.raises(AttributeError):

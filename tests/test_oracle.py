@@ -180,6 +180,24 @@ ROUNDED_BELOW = WeightedBipartiteInstance(
 TIED = WeightedBipartiteInstance(2, [(1.0, [0]), (1.0, [1]), (1.0, [0, 1])])
 
 
+def _twelve_ids_with_ties(rng):
+    """12 A-ids and 30 items drawn from a pool of 10, with weights 1 to 3,
+    so values tie."""
+    pool = [(float(rng.randint(1, 3)), rng.sample(range(12), rng.randint(1, 4)))
+            for _ in range(10)]
+    return WeightedBipartiteInstance(12, [rng.choice(pool) for _ in range(30)])
+
+
+class CountingTable(list):
+    """A filter sum table that counts its lookups, over all tables."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingTable.reads += 1
+        return super().__getitem__(index)
+
+
 class TestMaxInducedTree:
     def test_clique_has_only_edges(self):
         size, witness = max_induced_tree_exact(complete_graph(5))
@@ -348,8 +366,12 @@ class TestAdmissibleNaive:
             admissible_naive(inst, budget=OracleBudget(time_limit=1e-9))
 
     def test_matches_solver_on_dyadic(self):
-        inst = dyadic_bipartite(2)
-        assert admissible_naive(inst, alpha=1.0).value == solve_exact(inst, alpha=1.0).value
+        # The best selection keeps 2^(k+1) - 1 unit items; at k = 4 (16 ids)
+        # no high half is bounded away.
+        for k in (2, 3, 4):
+            inst = dyadic_bipartite(k)
+            value = admissible_naive(inst, alpha=1.0).value
+            assert value == solve_exact(inst, alpha=1.0).value == 2.0 ** (k + 1) - 1, k
 
     @settings(max_examples=300, deadline=None)
     @given(naive_instances(), st.sampled_from([0.25, 0.5, 1.0]))
@@ -359,6 +381,33 @@ class TestAdmissibleNaive:
     def test_equals_the_plain_loop(self, inst, alpha):
         assert admissible_naive(inst, alpha) == _plain_naive(inst, alpha)
 
+    @pytest.mark.parametrize("inst", [
+        alpha_counterexample(11),
+        alpha_counterexample(12),
+        _twelve_ids_with_ties(random.Random(1)),
+        _twelve_ids_with_ties(random.Random(2)),
+    ], ids=["counterexample-11", "counterexample-12", "ties-1", "ties-2"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_equals_the_plain_loop_above_ten_ids(self, inst, alpha):
+        # 64 high halves each, twice as many as a drawn instance has.
+        assert admissible_naive(inst, alpha) == _plain_naive(inst, alpha)
+
+    def test_most_high_halves_are_bounded_away(self, monkeypatch):
+        # The half bound skips all but 11 of the 1,024 high halves: 36,864
+        # table lookups, 3 per half for the bound and 3 per S of the 11
+        # halves left.  Without it every S takes 3, 3,145,728 in all.
+        measured, ceiling = 36_864, 2 * 36_864
+        chunk_sums = oracle._chunk_sums
+        monkeypatch.setattr(oracle, "_chunk_sums",
+                            lambda *args: [CountingTable(t) for t in chunk_sums(*args)])
+        CountingTable.reads = 0
+        sel = admissible_naive(alpha_counterexample(20), budget=OracleBudget(max_a_side=20))
+        assert sel.a_chosen == {0}
+        assert CountingTable.reads <= ceiling, (
+            f"{CountingTable.reads} table lookups, ceiling {ceiling} "
+            f"(twice the {measured} measured)"
+        )
+
     def test_time_limit_hits_at_once_on_twenty_ids(self):
         with pytest.raises(BudgetExceededError, match="time limit"):
             admissible_naive(
@@ -367,7 +416,9 @@ class TestAdmissibleNaive:
             )
 
     def test_twenty_ids_in_bounded_memory(self):
-        # 2^20 subsets; the hit tables hold 2 * 2^10 masks a half.
+        # 2^20 subsets, but the half bound skips all but 11 of the 1,024
+        # high halves, so this takes 0.07 s, not 3 s; the hit tables hold
+        # 2 * 2^10 masks a half.
         sel, peak = traced_peak(admissible_naive, alpha_counterexample(20),
                                 budget=OracleBudget(max_a_side=20))
         assert peak < 2 * 2**20
