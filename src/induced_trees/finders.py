@@ -6,8 +6,9 @@ Three constructions:
     vertices, an induced tree of size at least sqrt(N-1) + 1 through any
     prescribed root.  Either the root's star is already big enough, or the
     graph decomposes around the root's neighborhood and a weighted
-    admissible selection picks which components to recurse into; a lone
-    component is taken with its lowest attachment, building no instance.
+    admissible selection picks which components to recurse into; when some
+    neighbour sees every component, as it does a lone one, every component
+    is taken at the lowest such neighbour, building no instance.
 
   * find_tree_kr_free: in a connected K_r-free graph (r >= 4), an induced
     tree of size at least ln(N-1)/(4 ln r) + 1 through any root, using
@@ -219,9 +220,39 @@ def _attachment_instance(
     return WeightedBipartiteInstance(len(a_list), items)
 
 
-def _first_attachment(masks, nv_mask: int, comp: int) -> int:
-    """The lowest vertex of `nv_mask` that sees some vertex of `comp`."""
-    return next(a for a in _iter_bits(nv_mask) if masks[a] & comp)
+def _common_attachment(masks, nv_mask: int, comp_masks: list[int]) -> Optional[int]:
+    """The lowest vertex of `nv_mask` that sees every component of
+    `comp_masks`, or None.
+
+    Where one exists, its star is select_weighted's own answer on the
+    attachment instance, so the finders take it and build no instance.
+    The weights are component sizes, positive integers, and the star of a
+    common attachment is the fsum of every sqrt(|C_i|).  An A-id that misses
+    a component has an exact star sum at least 1 smaller, so while the total
+    is below 2^52 its correctly rounded sum is strictly smaller; an A-id
+    that sees every component ties, and the star's tie-break takes the
+    lowest A-id, and A-ids are N(v) in ascending order.  The matching
+    candidate keeps a subset of the items, so its value is never strictly
+    larger, and the star meets the target because the sum of the sqrt(|C_i|)
+    is at least sqrt(sum of the |C_i|).  So the selection is this vertex
+    with every component.  _kr's big-component step takes it for its one
+    component; select_uniform can pick differently, so _kr's uniform step
+    does not take this rule.
+
+    The scan runs at nearly every split, so it is a plain loop that takes
+    N(v) lowest bit first and stops at the first hit: a `next`/`all`
+    generator form over `_iter_bits` cost about twice as much per scan on
+    sparse random graphs and on ms_layered (CHANGES.md)."""
+    while nv_mask:
+        a = _low_bit(nv_mask)
+        seen = masks[a]
+        for comp in comp_masks:
+            if not seen & comp:
+                break
+        else:
+            return a
+        nv_mask ^= 1 << a
+    return None
 
 
 def _select_attached(
@@ -229,13 +260,21 @@ def _select_attached(
 ) -> dict[int, int]:
     """Run `select` on the attachment instance of the components around the
     root's neighbourhood `nv_mask`; maps each chosen component's index, in
-    ascending order, to its one chosen attachment vertex.  `entry` is the
-    split's cache entry from `_split`, which keeps the chosen attachments
-    (see _grow), or None."""
+    ascending order, to its one chosen attachment vertex.  If `select` is
+    select_weighted, a vertex of `nv_mask` that sees every component is its
+    answer (see _common_attachment), taken without building an instance.
+    `entry` is the split's cache entry from `_split`, which keeps the chosen
+    attachments (see _grow), or None; the scan runs only when it holds
+    none."""
     masks = g.adjacency_masks
     s_mask = entry[1] if entry is not None else None
     sel = None
     if s_mask is None:
+        u = _common_attachment(masks, nv_mask, comp_masks) if select is select_weighted else None
+        if u is not None:
+            if entry is not None:
+                entry[1] = 1 << u
+            return dict.fromkeys(range(len(comp_masks)), u)
         a_list = _iter_bits(nv_mask)
         sel = select(_attachment_instance(masks, a_list, comp_masks))
         s_mask = _mask_of(a_list[a] for a in sel.a_chosen)
@@ -319,19 +358,23 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     removed, so V \\ N[v'] is V \\ N[v] with the singleton {v'} swapped for
     {v}.  An entry is a list: the components of V \\ N(v), ordered by lowest
     vertex, and S, the mask of the attachment vertices the step's selection
-    chose, set by the first selection.  A twin's split is the component
-    list without its own singleton, the list `_component_masks` would
-    return.  Every twin singleton has size 1 and sees all of N(v), so the
-    twins' instances hold the same items, in orders that differ only in
-    where the singletons fall (`_kr`'s size filter keeps or drops them
-    alike); a selection's A-side depends on its items only as a multiset
-    (see admissible), so S is the one the step would choose again.  On a
-    hit and on a miss alike, the chosen components are those that exactly
-    one vertex of S sees, with that vertex as their attachment, so no
-    certificate changes.  An entry is stored only when the root has a
-    twin: every twin of v sees v's lowest neighbour, so the test reads that
-    vertex's degree in masks, and a twin-free root stores nothing.  Deeper
-    steps' splits are not cached.
+    chose, set by the first selection; for `_tf`, S is the common attachment
+    alone when some vertex of N(v) sees every component (see
+    _common_attachment), and the scan for one runs only while S is unset.  A
+    twin's split is the component list without its own singleton, the list
+    `_component_masks` would return.  Every twin singleton has size 1 and
+    sees all of N(v), so the twins' instances hold the same items, in orders
+    that differ only in where the singletons fall (`_kr`'s size filter keeps
+    or drops them alike); a selection's A-side depends on its items only as
+    a multiset (see admissible), and a vertex of N(v) sees every component
+    of one twin's split exactly when it sees every component of another's,
+    so S is the one the step would choose again.  On a hit and on a miss
+    alike, the chosen components are those that exactly one vertex of S
+    sees, with that vertex as their attachment, so no certificate changes.
+    An entry is stored only when the root has a twin: every twin of v sees
+    v's lowest neighbour, so the test reads that vertex's degree in masks,
+    and a twin-free root stores nothing.  Deeper steps' splits are not
+    cached.
 
     g._subtree_room is the bit budget both caches share, set on the first
     store to the bits of g's adjacency masks (the sum of their bit lengths)
@@ -425,18 +468,18 @@ def find_tree_triangle_free(g: Graph, v: int) -> TreeCertificate:
 def _tf(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, list[tuple[int, int]]]:
     """One step in the connected triangle-free `region` of `size` vertices
     rooted at v: the root's star if it meets the bound, else the root alone
-    plus one subproblem per component the weighted selection picks; r is
-    3, and taken only to share _kr's signature."""
+    plus one subproblem per component the weighted selection picks.  If a
+    neighbour of v sees every component, the selection is every component
+    at the lowest such neighbour, taken without building an instance (see
+    _common_attachment).  r is 3, and taken only to share _kr's
+    signature."""
     masks = g.adjacency_masks
     nv_mask = masks[v] & region
     if nv_mask.bit_count() ** 2 >= size - 1:
         return (1 << v) | nv_mask, "star", []
     rest = region ^ nv_mask ^ (1 << v)
     comps, entry = _split(g, size, v, nv_mask, rest, r)
-    if len(comps) == 1:  # meets the lemma alone, at select_weighted's pick
-        attach = {0: _first_attachment(masks, nv_mask, comps[0])}
-    else:
-        attach = _select_attached(g, nv_mask, comps, select_weighted, entry)
+    attach = _select_attached(g, nv_mask, comps, select_weighted, entry)
     return 1 << v, "decompose", [(comps[i] | (1 << u), u) for i, u in attach.items()]
 
 
@@ -504,7 +547,7 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
 
     big = max(comps, key=int.bit_count, default=0)
     if big.bit_count() * r4 > n:
-        u = _first_attachment(masks, nv_mask, big)
+        u = _common_attachment(masks, nv_mask, [big])
         return 1 << v, "big-component", [(big | (1 << u), u)]
 
     big_comps = [comp for comp in comps if comp.bit_count() ** 2 * r4 >= n]

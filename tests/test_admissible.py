@@ -13,6 +13,7 @@ from induced_trees import (
     AdmissibleSelection,
     ExhaustionLimitError,
     InstanceParseError,
+    LemmaViolationError,
     WeightedBipartiteInstance,
     admissible_naive,
     closure_b,
@@ -347,6 +348,13 @@ class TestSelectUniform:
         sel = select_uniform(dyadic_bipartite(3))
         assert len(sel.b_chosen) >= ceil_sqrt(32) == 6
 
+    def test_a_short_selection_raises(self, monkeypatch):
+        # One survivor that sees one of nine items: its star keeps 1 item,
+        # below ceil(sqrt(9)) = 3, which the reduction rules out.
+        monkeypatch.setattr(admissible, "_survivors", lambda inst: [0])
+        with pytest.raises(LemmaViolationError, match="produced 1 items, needs 3"):
+            select_uniform(matching_instance(9))
+
     @pytest.mark.parametrize(
         "select",
         [select_uniform, lambda inst: select_randomized_dyadic(inst, seed=0)],
@@ -402,6 +410,21 @@ class TestSelectWeighted:
         assert sel.value >= math.sqrt(inst.total_weight()) - LEMMA_SLACK
         sel.check(inst)
 
+    def test_a_short_fallback_raises(self, monkeypatch):
+        # The fallback test's instance, whose star and matching fall short,
+        # and an exact search that returns A-id 0's star, worth
+        # 2 + sqrt(0.5) < sqrt(10).
+        inst = WeightedBipartiteInstance(
+            5, [(4.0, [4, 1]), (0.5, [0]), (0.5, [4, 2]), (0.5, [3]), (0.5, [1]), (4.0, [3, 0])]
+        )
+
+        def short_exact(inst, alpha, target):
+            return admissible._closed(inst, frozenset({0}))
+
+        monkeypatch.setattr(admissible, "solve_exact", short_exact)
+        with pytest.raises(LemmaViolationError, match="exhaustive fallback reached"):
+            select_weighted(inst)
+
     @settings(max_examples=200, deadline=None)
     @given(instance_inputs())
     def test_any_instance_meets_sqrt_total(self, given_input):
@@ -411,15 +434,32 @@ class TestSelectWeighted:
         assert sel.value >= math.sqrt(inst.total_weight()) - LEMMA_SLACK
 
     @settings(max_examples=100, deadline=None)
-    @given(instance_inputs())
-    def test_one_item_goes_to_its_lowest_neighbour(self, given_input):
-        # The finders take a lone component at its lowest attachment
-        # without selecting; this is the pair the selection would return.
-        a, items = given_input
-        assume(items and items[0][0] > 0)
-        w, nbrs = items[0]
-        sel = select_weighted(WeightedBipartiteInstance(a, [(w, nbrs)]))
-        assert (sel.a_chosen, sel.b_chosen) == ({min(nbrs)}, {0})
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda a: st.tuples(
+                st.just(a),
+                st.sets(st.integers(0, a - 1), min_size=1),
+                st.lists(
+                    st.tuples(st.integers(1, 10**6), st.lists(st.integers(0, a - 1), max_size=a)),
+                    min_size=1,
+                    max_size=10,
+                ),
+            )
+        )
+    )
+    @example((3, {2}, [(5, [])]))
+    @example((4, {1, 3}, [(1, [0]), (1, [2]), (7, [0, 2])]))
+    def test_an_id_seeing_every_item_is_the_selection(self, drawn):
+        # Weights are positive integers, as the finders' component sizes
+        # are, and the drawn ids `common` see every item.  The finders take
+        # such a split at its lowest common attachment without selecting
+        # (finders._common_attachment); this is the pair the selection
+        # returns.
+        a, common, items = drawn
+        inst = WeightedBipartiteInstance(a, [(w, [*nbrs, *common]) for w, nbrs in items])
+        lowest = min(x for x in range(a) if all(m >> x & 1 for m in inst.nbr_masks))
+        sel = select_weighted(inst)
+        assert (sel.a_chosen, sel.b_chosen) == ({lowest}, set(range(len(items))))
 
 
 class TestSelectRandomizedDyadic:

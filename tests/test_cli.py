@@ -19,6 +19,7 @@ import induced_trees
 from induced_trees import (
     Graph,
     InternalInvariantError,
+    LemmaViolationError,
     TreeCertificate,
     WeightedBipartiteInstance,
     dyadic_bipartite,
@@ -581,7 +582,11 @@ class TestInternalFailure:
 
     @pytest.mark.parametrize(
         "exc",
-        [RecursionError("maximum recursion depth exceeded"), InternalInvariantError("boom", {})],
+        [
+            RecursionError("maximum recursion depth exceeded"),
+            InternalInvariantError("boom", {}),
+            LemmaViolationError("exhaustive fallback reached 1.0 < sqrt(total) = 2.0"),
+        ],
     )
     def test_unexpected_exception_exits_3(self, capsys, finder_raising, exc):
         code, out, err = run(capsys, "find", finder_raising(exc), "--root", "0")

@@ -41,6 +41,7 @@ from induced_trees.generators import (
     random_kr_free,
     random_triangle_free,
 )
+from induced_trees.graph import _iter_bits
 
 
 class TestTriangleFreeFinder:
@@ -414,9 +415,10 @@ class TestFindLargeTree:
 
 def test_each_selection_builds_one_instance(monkeypatch):
     # The finder builds the attachment instance; the selector reads the
-    # survivors of the reduction off it and builds none of its own.  A
-    # split that leaves one component is taken at its lowest attachment,
-    # so only splits into two or more components build and select.
+    # survivors of the reduction off it and builds none of its own.  When
+    # some vertex of N(v) sees every component of a split, as one always
+    # does a lone component, the split is taken at the lowest such vertex,
+    # so only the other splits build and select.
     built, selections, splits, choices = [], [], [], []
     init = WeightedBipartiteInstance.__init__
     select = finders.select_weighted
@@ -433,7 +435,9 @@ def test_each_selection_builds_one_instance(monkeypatch):
     def counting_split(*args):
         comps = split(*args)
         splits.append(1)
-        if len(comps) >= 2:
+        # The caller is finders._split, whose `nv_mask` is the root's N(v).
+        masks, nv_mask = args[0], sys._getframe(1).f_locals["nv_mask"]
+        if not any(all(masks[a] & c for c in comps) for a in _iter_bits(nv_mask)):
             choices.append(1)
         return comps
 
@@ -446,7 +450,7 @@ def test_each_selection_builds_one_instance(monkeypatch):
         for v in range(m * m):
             find_tree(ms_layered(m), v, 3)
     assert len(built) == len(selections) == len(choices)
-    assert (len(selections), len(splits)) == (120, 616)
+    assert (len(selections), len(splits)) == (88, 616)
     # One graph per m: later roots read the subtrees cached at every level
     # below earlier roots' first splits, and a false twin of an earlier
     # root reads its top split and selection, so fewer splits and
@@ -459,7 +463,39 @@ def test_each_selection_builds_one_instance(monkeypatch):
         for v in range(g.n):
             find_tree(g, v, 3)
     assert len(built) == len(selections) == len(choices)
-    assert (len(selections), len(splits)) == (40, 165)
+    assert (len(selections), len(splits)) == (24, 165)
+
+
+def test_a_common_attachment_cuts_the_instances(monkeypatch):
+    # A work-count guard: three spaced roots of a sparse random graph, one
+    # fresh graph per root.  Most of its splits have a vertex of N(v) that
+    # sees every component, and those build no instance: 467 instances
+    # were built before, 61 since, the ceiling.
+    built = []
+    init = WeightedBipartiteInstance.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(WeightedBipartiteInstance, "__init__", counting_init)
+    for v in (166, 500, 833):
+        find_tree(random_triangle_free(1000, 4 / 1000, 1000), v, 3)
+    assert len(built) <= 61, f"{len(built)} instances; ceiling and measured 61"
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_kr_free(rs=(3,)))
+def test_a_common_attachment_changes_no_certificate(case):
+    # Every root of one graph object with the rule patched out, so every
+    # split builds and selects, against every root of another with it in;
+    # each graph keeps its caches across its roots.
+    _, g = case
+    twin = Graph(g.n, g.edges)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finders, "_common_attachment", lambda *args: None)
+        selected = [find_tree(twin, v, 3).to_json() for v in range(g.n)]
+    assert [find_tree(g, v, 3).to_json() for v in range(g.n)] == selected
 
 
 def cached_bits(g):
@@ -610,8 +646,11 @@ class TestSubtreeCache:
     def test_twins_share_the_top_split_and_selection(self, monkeypatch):
         # A work-count guard: every root of ms_layered(m), m = 3..30, on one
         # graph per m.  Each part of the chain is a class of false twins.
-        # The ceilings are the counts measured when the top split was first
-        # cached under N(v); a later change may lower them, never raise them.
+        # The search ceiling is the count measured when the top split was
+        # first cached under N(v), and the selection ceiling the count once
+        # a split in which some vertex of N(v) sees every component stopped
+        # selecting (364 before); a later change may lower them, never raise
+        # them.
         searches, selections = [], []
         split, select = finders._component_masks, finders.select_weighted
 
@@ -630,7 +669,7 @@ class TestSubtreeCache:
             for v in range(g.n):
                 find_tree(g, v, 3)
         assert len(searches) <= 1329, f"{len(searches)} component searches; ceiling and measured 1,329"
-        assert len(selections) <= 364, f"{len(selections)} selections; ceiling and measured 364"
+        assert len(selections) <= 312, f"{len(selections)} selections; ceiling and measured 312"
 
     @pytest.mark.parametrize(
         "make, r, roots",
