@@ -4,8 +4,14 @@ The layered complete-bipartite chains bound induced-tree sizes from above;
 the line graph of a balanced tree does the same for the clique-free case;
 the dyadic and two-weight bipartite instances exhibit tightness of the
 selection guarantees.  Random generators are fully deterministic given
-(params, seed) - regeneration reproduces byte-identical edge lists - and
-keep their adjacency as neighbour bitmasks until they build the Graph.
+(params, seed) - regeneration reproduces byte-identical edge lists.
+
+Every generator builds its graph's neighbour bitmasks directly, and the
+Graph adopts them (`Graph._from_masks`), with no round trip through edge
+pairs.  A layered chain builds one mask per part and gives each vertex of
+part i the union of parts i - 1 and i + 1; the line graph gives each
+vertex the union of the cliques at its tree edge's two ends; a random
+graph is sampled, repaired and bridged on its masks.
 
 A random graph's edge coins are the n(n-1)/2 tests `rng.random() < p`
 over the vertex pairs in order, and all n(n-1)/2 are still drawn.
@@ -26,10 +32,10 @@ import math
 import random
 import struct
 from collections.abc import Iterator
-from itertools import accumulate, combinations, compress, pairwise
+from itertools import accumulate, compress, repeat
 
 from .admissible import WeightedBipartiteInstance
-from .graph import Graph, _first_clique, _iter_edges, _low_bit, _sweep_region
+from .graph import Graph, _first_clique, _low_bit, _sweep_region
 
 __all__ = [
     "alpha_counterexample",
@@ -44,10 +50,13 @@ __all__ = [
 
 def _layered_complete(part_sizes: list[int]) -> Graph:
     """Chain of parts where consecutive parts induce complete bipartite
-    graphs; vertex ids run part by part."""
-    ends = list(accumulate(part_sizes))
-    parts = [range(end - size, end) for size, end in zip(part_sizes, ends)]
-    return Graph(ends[-1], [(u, v) for a, b in pairwise(parts) for u in a for v in b])
+    graphs; vertex ids run part by part.  Each part's mask is built once,
+    and every vertex of part i gets the union of parts i - 1 and i + 1."""
+    ends = accumulate(part_sizes)
+    # Part masks, with an empty part at each end of the chain.
+    parts = [0, *(((1 << size) - 1) << (end - size) for size, end in zip(part_sizes, ends)), 0]
+    return Graph._from_masks([nbrs for size, before, after in zip(part_sizes, parts, parts[2:])
+                              for nbrs in repeat(before | after, size)])
 
 
 def ms_layered(m: int) -> Graph:
@@ -78,17 +87,22 @@ def line_graph_balanced_tree(r: int, depth: int) -> Graph:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     # Tree vertices are numbered level by level from the root 0, so the
-    # edge into child c is line-graph vertex c - 1; at[x] lists the
-    # line-graph vertices at tree vertex x.
-    at: list[list[int]] = [[]]
+    # edge into child c is line-graph vertex c - 1; at[x] is the mask of
+    # the line-graph vertices at tree vertex x, a clique, and parent[e] the
+    # upper end of edge e.
+    at = [0]
+    parent: list[int] = []
     level = range(1)
     for _ in range(depth):
-        for parent in level:
-            for _ in range(r - 1 if parent == 0 else r - 2):
-                at[parent].append(len(at) - 1)
-                at.append([len(at) - 1])
+        for x in level:
+            k = r - 1 if x == 0 else r - 2
+            at[x] |= ((1 << k) - 1) << (len(at) - 1)
+            for _ in range(k):
+                at.append(1 << (len(at) - 1))
+                parent.append(x)
         level = range(level.stop, len(at))
-    return Graph(len(at) - 1, [pair for ids in at for pair in combinations(ids, 2)])
+    # Edge e sees the cliques at both of its ends, e + 1 the lower one.
+    return Graph._from_masks([(at[x] | at[e + 1]) ^ (1 << e) for e, x in enumerate(parent)])
 
 
 def dyadic_bipartite(k: int) -> WeightedBipartiteInstance:
@@ -216,4 +230,4 @@ def random_kr_free(n: int, r: int, p: float, seed: int) -> Graph:
         assert not masks[0] & masks[y]
         masks[0] |= 1 << y
         masks[y] |= 1
-    return Graph(n, _iter_edges(masks))
+    return Graph._from_masks(masks)

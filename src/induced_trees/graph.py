@@ -185,8 +185,41 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
             count += 1
+        self._adopt(n, count, masks)
+
+    @classmethod
+    def _from_masks(cls, masks: list[int]) -> Graph:
+        """The graph whose neighbour bitmasks are `masks`, adopted after
+        O(n) checks instead of `__init__`'s per-edge ones: no bit at or
+        above n = len(masks), no self-loop, and an even bit total, since
+        each edge sets two bits.  edge_count is half the total.
+
+        The checks do not prove the masks symmetric; the generators, the
+        only callers, build them so.  In `random_kr_free` every coin,
+        clique repair and bridge sets or clears both bits of its pair.  In
+        a layered chain a vertex's mask is the union of the two parts next
+        to its own, and each of those parts sees every vertex of it.  In
+        the line graph a vertex's mask is the union of the cliques at its
+        edge's two ends, less itself, and it lies in both.  Untrusted
+        edges come in through `Graph(n, edges)`."""
+        n = len(masks)
+        total = 0
+        for v, mask in enumerate(masks):
+            if mask >> n:
+                raise ValueError(f"vertex {v} has a neighbour out of range for n={n}")
+            if mask >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            total += mask.bit_count()
+        if total & 1:
+            raise ValueError(f"the masks hold {total} bits, an odd total, so they are not symmetric")
+        g = cls.__new__(cls)
+        g._adopt(n, total >> 1, masks)
+        return g
+
+    def _adopt(self, n: int, edge_count: int, masks: list[int]) -> None:
+        """Set a new graph's fields: its counts, its masks and empty caches."""
         self.n = n
-        self.edge_count = count
+        self.edge_count = edge_count
         self.adjacency_masks: tuple[int, ...] = tuple(masks)
         self._sweep: Optional[tuple[list[int], int]] = None
         # By size: the first clique, None if there is none, or the node cap
@@ -293,6 +326,10 @@ def _component_masks(masks: Sequence[int], region: int, seeds: int) -> list[int]
     reads 3,157 masks where merging reads 359, still fewer than the
     region's 3,200 vertices.
     """
+    if not seeds & (seeds - 1):
+        # One seed: by the precondition the region is one component.  No
+        # seed: the region is empty.
+        return [region] if region else []
     comps: list[int] = []
     # (visited, frontier) per search; visited sets are disjoint between rounds.
     live = [(1 << s, 1 << s) for s in _iter_bits(seeds)]

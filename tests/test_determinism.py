@@ -91,6 +91,27 @@ def test_seeded_outputs_match_golden_digest():
     assert _digest(_records()) == GOLDEN_SHA256
 
 
+# GOLDEN_SHA256 reaches only ms_layered(15) and depth-4 line graphs; this
+# digest pins the tight families' edge lists up to the benchmark's sizes:
+# the layered chains to m = 30 and the line graphs to depth 10 (r = 4)
+# and 6 (r = 5).
+TIGHT_FAMILIES_SHA256 = "ba34092367a9f0b32e7ea83c68210dec11787cf02c845e9fc4ff711e3f871f84"
+
+
+def _tight_family_records():
+    for m in range(16, 31):
+        yield format_edge_list(ms_layered(m))
+    for m in range(6, 31):
+        yield format_edge_list(ms_through_vertex(m)[0])
+    for r, depths in ((4, range(5, 11)), (5, range(5, 7))):
+        for depth in depths:
+            yield format_edge_list(line_graph_balanced_tree(r, depth))
+
+
+def test_tight_family_edge_lists_match_golden_digest():
+    assert _digest(_tight_family_records()) == TIGHT_FAMILIES_SHA256
+
+
 # The golden digest above reaches only graphs of at most 200 vertices; this
 # one pins the random generators on their large sparse inputs (the sizes the
 # benchmark and the CLI examples use) and on dense small inputs, where the

@@ -3,9 +3,12 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graph_cases import neighbour_sets, set_two_colouring
 from induced_trees import (
+    Graph,
     format_edge_list,
     has_clique,
     is_connected,
@@ -210,6 +213,46 @@ class TestRandomKrFree:
             n = rng.randint(2, 14)
             g = random_kr_free(n, n + 1, rng.random(), rng.randrange(2 ** 32))
             assert is_connected(g)
+
+
+def _assert_built_from_its_edges(g):
+    """g, whose masks a generator built, equals the graph built edge by edge
+    from its edge list; an asymmetric mask lists an edge from one end only,
+    so the two differ."""
+    assert g == Graph(g.n, sorted(g.edges))
+    assert g.edge_count == len(g.edges)
+
+
+class TestTrustedMasks:
+    """The generators bypass the per-edge checks of Graph(n, edges), through
+    Graph._from_masks; their graphs are the ones those checks would build."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_layered_chains(self, m):
+        _assert_built_from_its_edges(ms_layered(m))
+        _assert_built_from_its_edges(ms_through_vertex(m)[0])
+
+    @pytest.mark.parametrize("r, depth", [(4, 1), (4, 2), (4, 5), (5, 3), (6, 3)])
+    def test_line_graphs(self, r, depth):
+        _assert_built_from_its_edges(line_graph_balanced_tree(r, depth))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(3, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_kr_free(self, n, r, p, seed):
+        _assert_built_from_its_edges(random_kr_free(n, r, p, seed))
+
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            ([0b11, 0b11], "self-loop at vertex 0"),
+            ([0b100, 0b100], "vertex 0 has a neighbour out of range for n=2"),
+            ([0b10, 0b00], "odd total"),
+        ],
+        ids=["self-loop", "bit-at-n", "odd-total"],
+    )
+    def test_from_masks_refuses(self, masks, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph._from_masks(masks)
 
 
 def _per_draw_hits(rng, count, p):
