@@ -25,7 +25,7 @@ items in another order give select_weighted, select_uniform and
 solve_exact (with or without a target) the same `a_chosen`.  Every sum is
 a math.fsum, which is correctly rounded and so blind to the order of its
 terms, and every tie breaks by A-id, never by item index.  The finders
-rest on this when false twins share one selection (finders._grow).
+rest on this when a false twin takes its twin's tree (finders._grow).
 
 solve_exact and oracle.admissible_naive raise weights with `w ** alpha`,
 which is C `pow`; at alpha = 0.5 it differs from math.sqrt in the last

@@ -255,60 +255,28 @@ def _common_attachment(masks, nv_mask: int, comp_masks: list[int]) -> Optional[i
     return None
 
 
-def _select_attached(
-    g: Graph, nv_mask: int, comp_masks: list[int], select, entry: Optional[list]
-) -> dict[int, int]:
+def _select_attached(g: Graph, nv_mask: int, comp_masks: list[int], select) -> dict[int, int]:
     """Run `select` on the attachment instance of the components around the
     root's neighbourhood `nv_mask`; maps each chosen component's index, in
     ascending order, to its one chosen attachment vertex.  If `select` is
     select_weighted, a vertex of `nv_mask` that sees every component is its
-    answer (see _common_attachment), taken without building an instance.
-    `entry` is the split's cache entry from `_split`, which keeps the chosen
-    attachments (see _grow), or None; the scan runs only when it holds
-    none."""
+    answer (see _common_attachment), taken without building an instance."""
     masks = g.adjacency_masks
-    s_mask = entry[1] if entry is not None else None
-    sel = None
-    if s_mask is None:
-        u = _common_attachment(masks, nv_mask, comp_masks) if select is select_weighted else None
+    if select is select_weighted:
+        u = _common_attachment(masks, nv_mask, comp_masks)
         if u is not None:
-            if entry is not None:
-                entry[1] = 1 << u
             return dict.fromkeys(range(len(comp_masks)), u)
-        a_list = _iter_bits(nv_mask)
-        sel = select(_attachment_instance(masks, a_list, comp_masks))
-        s_mask = _mask_of(a_list[a] for a in sel.a_chosen)
-        if entry is not None:
-            entry[1] = s_mask
-    s_list = _iter_bits(s_mask)
-    seen = [[a for a in s_list if masks[a] & comp] for comp in comp_masks]
-    attach = {i: only[0] for i, only in enumerate(seen) if len(only) == 1}
-    assert sel is None or attach.keys() == sel.b_chosen
-    return attach
+    a_list = _iter_bits(nv_mask)
+    inst = _attachment_instance(masks, a_list, comp_masks)
+    sel = select(inst)
+    s_mask = _mask_of(sel.a_chosen)
+    return {i: a_list[_low_bit(inst.nbr_masks[i] & s_mask)] for i in sorted(sel.b_chosen)}
 
 
-def _split(
-    g: Graph, size: int, v: int, nv_mask: int, rest: int, r: int
-) -> tuple[list[int], Optional[list]]:
-    """The components of `rest`, what is left of a step's region of `size`
-    vertices without the root v and N(v) = `nv_mask`, ordered by lowest
-    vertex, and the cache entry for (r, N(v)) if the step is the top one
-    and has one (see _grow), else None."""
-    masks = g.adjacency_masks
-    top = size == g.n
-    entry = g._splits.get((r, nv_mask)) if top else None
-    if entry is not None:  # stored by a twin of v
-        comps = entry[0].copy()
-        comps.remove(1 << v)
-        return comps, entry
-    comps = _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)
-    if top and any(masks[x] == nv_mask and x != v for x in _iter_bits(masks[_low_bit(nv_mask)])):
-        full = sorted([*comps, 1 << v], key=_low_bit)
-        entry = [full, None]
-        bits = sum(map(int.bit_length, full), 2 * nv_mask.bit_length())
-        if not _store(g, g._splits, (r, nv_mask), entry, bits):
-            entry = None
-    return comps, entry
+def _split(masks, nv_mask: int, rest: int) -> list[int]:
+    """The components of `rest`, what is left of a step's region without
+    the root and its neighbourhood `nv_mask`, ordered by lowest vertex."""
+    return _component_masks(masks, rest, _neighbour_union(masks, nv_mask) & rest)
 
 
 def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
@@ -350,38 +318,37 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
     region, the root and r, so a cached subtree is the one `_subtree` would
     build again; the tree is a union, so the order in which subtrees are
     evaluated does not matter; and the strategy comes from the top step,
-    which runs at every root.
+    which runs at every root the twin cache does not answer.
 
-    The split cache: the top step's split, which `_split` makes for both
-    `_tf` and `_kr`, is kept in g._splits under (r, N(v)).  Roots with one
-    neighbourhood are false twins, and each is a lone vertex once N(v) is
-    removed, so V \\ N[v'] is V \\ N[v] with the singleton {v'} swapped for
-    {v}.  An entry is a list: the components of V \\ N(v), ordered by lowest
-    vertex, and S, the mask of the attachment vertices the step's selection
-    chose, set by the first selection; for `_tf`, S is the common attachment
-    alone when some vertex of N(v) sees every component (see
-    _common_attachment), and the scan for one runs only while S is unset.  A
-    twin's split is the component list without its own singleton, the list
-    `_component_masks` would return.  Every twin singleton has size 1 and
-    sees all of N(v), so the twins' instances hold the same items, in orders
-    that differ only in where the singletons fall (`_kr`'s size filter keeps
-    or drops them alike); a selection's A-side depends on its items only as
-    a multiset (see admissible), and a vertex of N(v) sees every component
-    of one twin's split exactly when it sees every component of another's,
-    so S is the one the step would choose again.  On a hit and on a miss
-    alike, the chosen components are those that exactly one vertex of S
-    sees, with that vertex as their attachment, so no certificate changes.
-    An entry is stored only when the root has a twin: every twin of v sees
-    v's lowest neighbour, so the test reads that vertex's degree in masks,
-    and a twin-free root stores nothing.  Deeper steps' splits are not
-    cached.
+    The twin cache: two roots with one neighbourhood N(v) are false twins,
+    neither in N(v) as neither is its own neighbour, and swapping them is
+    an automorphism of g.  g._twins maps (r, N(v)) to (u, tree, strategy) from
+    a root u whose top step was `_tf`'s "decompose" and that had a twin.  A
+    later root v with that key runs no step: its tree is `tree` if that
+    holds v, else `tree` with u swapped for v, and the strategy and the
+    bound are as they are.  That is exact:
+      * At such a step a twin v' is an isolated singleton of V \\ N[v], and
+        every vertex of N(v) sees it.  Every other component is the same
+        for both roots.
+      * So the common-attachment scan is the same for both, and so is
+        select_weighted's A-side, which depends on the items only as a
+        multiset (see admissible).  The subproblems are the same, apart
+        from the 2-vertex base cases {v', w} and {v, w} at an attachment w.
+      * So find(v') is find(v) with v and v' swapped.  A singleton is
+        taken exactly when every twin's is, so a tree holds v exactly when
+        it holds every twin, and is then its own swap.
+      * It is not so for `_kr`'s broom, big-component or uniform steps,
+        because `_extract` and the index tie-breaks read vertex order.
+        Those steps store nothing, and r is in the key, so a K_4 run never
+        reads an r = 3 entry.
+    Every twin of v sees v's lowest neighbour, so the twin test reads the
+    masks of that vertex's neighbours, and a twin-free root stores nothing.
 
     g._subtree_room is the bit budget both caches share, set on the first
     store to the bits of g's adjacency masks (the sum of their bit lengths)
     and spent under _SUBTREE_LOCK.  A subtree costs the bit lengths of its
-    region and its value.  A split entry costs twice the bit length of
-    N(v), for its key and for S, a subset of N(v), plus those of its
-    components, all paid when it is stored.  What does not fit is not
+    region and its value, and a twin entry those of N(v) and its tree, paid
+    when it is stored, after the run's subtrees.  What does not fit is not
     stored, so the caches at most double a graph's memory, however many
     levels are keys.  That bound is what holds on a cycle, whose roots
     share no subproblem and have no twin."""
@@ -391,11 +358,28 @@ def _grow(g: Graph, v: int, r: int) -> TreeCertificate:
         raise FinderPreconditionError(
             f"graph contains a clique of size {r}: {sorted(clique)}", witness=clique
         )
+    bound = theorem_bound(g.n - 1, r) + 1.0
+    masks = g.adjacency_masks
+    nv_mask = masks[v]
+    twin = g._twins and g._twins.get((r, nv_mask))  # skipped while no root stored one
+    if twin:
+        u, tree, top = twin
+        if not tree >> v & 1:
+            tree ^= (1 << u) | (1 << v)
+        return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
     deep = bool(g._subtrees)
     tree, top, subproblems = _step(g, (1 << g.n) - 1, v, r)
     for region, root in subproblems:
         tree |= _subtree(g, region, root, r, deep)
-    bound = theorem_bound(g.n - 1, r) + 1.0
+    if top == "decompose":
+        # A plain loop: a generator here would make v and the masks cell
+        # variables of this function, which cost about 0.2 us a call, 2-3%
+        # of a find on the small K_r-free graphs (CHANGES.md).
+        for x in _iter_bits(masks[_low_bit(nv_mask)]):
+            if masks[x] == nv_mask and x != v:
+                bits = nv_mask.bit_length() + tree.bit_length()
+                _store(g, g._twins, (r, nv_mask), (v, tree, top), bits)
+                break
     return TreeCertificate(frozenset(_iter_bits(tree)), v, bound, top)
 
 
@@ -478,8 +462,8 @@ def _tf(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
     if nv_mask.bit_count() ** 2 >= size - 1:
         return (1 << v) | nv_mask, "star", []
     rest = region ^ nv_mask ^ (1 << v)
-    comps, entry = _split(g, size, v, nv_mask, rest, r)
-    attach = _select_attached(g, nv_mask, comps, select_weighted, entry)
+    comps = _split(masks, nv_mask, rest)
+    attach = _select_attached(g, nv_mask, comps, select_weighted)
     return 1 << v, "decompose", [(comps[i] | (1 << u), u) for i, u in attach.items()]
 
 
@@ -543,7 +527,7 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
             fixed = (1 << v) | (1 << w) | _extract(masks, outside, r, b_need)
             return fixed, "ramsey-broom", []
 
-    comps, entry = _split(g, size, v, nv_mask, rest, r)
+    comps = _split(masks, nv_mask, rest)
 
     big = max(comps, key=int.bit_count, default=0)
     if big.bit_count() * r4 > n:
@@ -563,7 +547,7 @@ def _kr(g: Graph, region: int, size: int, v: int, r: int) -> tuple[int, str, lis
                 "large_components": len(big_comps),
             },
         )
-    attach = _select_attached(g, nv_mask, big_comps, select_uniform, entry)
+    attach = _select_attached(g, nv_mask, big_comps, select_uniform)
     if len(attach) < r + 1:
         raise InternalInvariantError(
             "uniform selection returned fewer than r+1 components",

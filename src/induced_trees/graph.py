@@ -5,7 +5,7 @@ Graphs are immutable after construction and every operation here is a
 pure query, so shared instances are safe to use from multiple threads.
 A graph's caches hold answers that depend on the graph alone, so
 concurrent callers may both fill the same entry, with the same value;
-the finders' subtree and split caches spend one bit budget under a lock.
+the finders' subtree and twin caches spend one bit budget under a lock.
 All outputs that are ordered (paths, component lists, parsed files) use
 ascending vertex ids to break ties, so repeated runs are reproducible.
 
@@ -150,10 +150,10 @@ class Graph:
     views derived from it.  Connectivity, triangle and clique searches are
     cached lazily, which is safe because instances never change.
 
-    `_subtrees`, `_splits` and `_subtree_room` are the finders' subtree
+    `_subtrees`, `_twins` and `_subtree_room` are the finders' subtree
     cache, keyed by (r, region, root) at the top step's subproblems and,
     once some root has split, at every level below, their cache of
-    top-step splits and chosen attachments by r and the root's
+    whole trees that a root's false twins take, by r and the root's
     neighbourhood, and the bit budget the two share, kept as
     `finders._grow` describes.
     """
@@ -162,7 +162,7 @@ class Graph:
     # which bounds the two finder caches together at the masks' bits: a
     # misspelt name raises instead of silently missing the cache.
     __slots__ = (
-        "n", "edge_count", "adjacency_masks", "_sweep", "_cliques", "_subtrees", "_splits",
+        "n", "edge_count", "adjacency_masks", "_sweep", "_cliques", "_subtrees", "_twins",
         "_subtree_room",
     )
 
@@ -226,7 +226,7 @@ class Graph:
         # an undecided search stopped at.
         self._cliques: dict[int, Union[frozenset[int], None, int]] = {}
         self._subtrees: dict[tuple[int, int, int], int] = {}
-        self._splits: dict[tuple[int, int], list] = {}
+        self._twins: dict[tuple[int, int], tuple[int, int, str]] = {}
         self._subtree_room: Optional[int] = None
 
     @property

@@ -453,7 +453,7 @@ def test_each_selection_builds_one_instance(monkeypatch):
     assert (len(selections), len(splits)) == (88, 616)
     # One graph per m: later roots read the subtrees cached at every level
     # below earlier roots' first splits, and a false twin of an earlier
-    # root reads its top split and selection, so fewer splits and
+    # root takes that root's tree and runs no step, so fewer splits and
     # selections run.  Each part of the chain is one class of twins, with
     # consecutive ids.  Caching only the top step's subproblems ran 272
     # splits.
@@ -507,18 +507,22 @@ def mask_bits(g):
     return sum(mask.bit_length() for mask in g.adjacency_masks)
 
 
-def split_bits(g):
-    """The bits the top-split cache was paid: for each entry, twice its
-    neighbourhood's (for the key and the chosen attachments) and its
-    components'."""
+def twin_bits(g):
+    """The bits the twin cache was paid: each entry's neighbourhood and
+    tree."""
     return sum(
-        2 * nv_mask.bit_length() + sum(map(int.bit_length, full))
-        for (_, nv_mask), (full, _) in g._splits.items()
+        nv_mask.bit_length() + tree.bit_length() for (_, nv_mask), (_, tree, _) in g._twins.items()
     )
 
 
 def fresh_json(g, v, r):
     return find_tree(Graph(g.n, g.edges), v, r).to_json()
+
+
+def twins_apart():
+    """The path {2, 5} - {6} - {0, 4} - {7} - {1, 3} of twin classes."""
+    classes = [[2, 5], [6], [0, 4], [7], [1, 3]]
+    return Graph(8, [(a, b) for x, y in itertools.pairwise(classes) for a in x for b in y])
 
 
 class TestSubtreeCache:
@@ -607,29 +611,28 @@ class TestSubtreeCache:
         for v in data.draw(st.permutations(range(g.n))):
             for s in (r, r + 1):
                 assert find_tree(g, v, s).to_json() == fresh_json(g, v, s)
-        # Only a root with a twin stores its split, and every store is paid
-        # from the one budget.
-        assert all(g.adjacency_masks.count(nv_mask) >= 2 for _, nv_mask in g._splits)
+        # Only a root with a twin stores its tree, only after a triangle-free
+        # decompose step, and every store is paid from the one budget.
+        assert all(g.adjacency_masks.count(nv_mask) >= 2 for _, nv_mask in g._twins)
+        assert all(s == 3 for s, _ in g._twins)
+        assert all(top == "decompose" for _, _, top in g._twins.values())
         if g._subtree_room is not None:
-            assert mask_bits(g) == cached_bits(g) + split_bits(g) + g._subtree_room
+            assert mask_bits(g) == cached_bits(g) + twin_bits(g) + g._subtree_room
 
     def test_twins_apart_in_id_order_select_apart(self):
-        # The path {2, 5} - {6} - {0, 4} - {7} - {1, 3} of twin classes.
         # Roots 0 and 4 are twins, and the singletons 1, 2 and 3 lie between
         # them in id order, so their top splits list the same items in two
-        # orders; root 4 must still find root 0's split entry.
-        classes = [[2, 5], [6], [0, 4], [7], [1, 3]]
-        g = Graph(8, [(a, b) for x, y in itertools.pairwise(classes) for a in x for b in y])
+        # orders; root 4 must still take root 0's tree.
+        g = twins_apart()
         for v in (0, 4):
             assert find_tree(g, v, 3).to_json() == fresh_json(g, v, 3)
-        assert len(g._splits) == 1
+        assert len(g._twins) == 1
 
     def test_twins_apart_in_id_order_share_one_selection(self, monkeypatch):
-        # The graph above: root 4's items are root 0's in another order, and
-        # a selection's A-side depends on its items only as a multiset, so
-        # root 4 reads root 0's chosen attachments and selects nothing.
-        classes = [[2, 5], [6], [0, 4], [7], [1, 3]]
-        g = Graph(8, [(a, b) for x, y in itertools.pairwise(classes) for a in x for b in y])
+        # Root 4's items are root 0's in another order, and a selection's
+        # A-side depends on its items only as a multiset, so root 4 takes
+        # root 0's tree and selects nothing.
+        g = twins_apart()
         expected = {v: fresh_json(g, v, 3) for v in (0, 4)}
         selections = []
         select = finders.select_weighted
@@ -649,10 +652,12 @@ class TestSubtreeCache:
         # The search ceiling is the count measured when the top split was
         # first cached under N(v), and the selection ceiling the count once
         # a split in which some vertex of N(v) sees every component stopped
-        # selecting (364 before); a later change may lower them, never raise
-        # them.
-        searches, selections = [], []
-        split, select = finders._component_masks, finders.select_weighted
+        # selecting (364 before).  The step ceiling is the count once a twin
+        # took its twin's tree and ran no step (25,001 before, when a twin
+        # replayed the top split and read its top subproblems' subtrees).  A
+        # later change may lower them, never raise them.
+        searches, selections, steps = [], [], []
+        split, select, step = finders._component_masks, finders.select_weighted, finders._step
 
         def counting_split(*args):
             searches.append(1)
@@ -662,14 +667,54 @@ class TestSubtreeCache:
             selections.append(1)
             return select(inst)
 
+        def counting_step(*args):
+            steps.append(1)
+            return step(*args)
+
         monkeypatch.setattr(finders, "_component_masks", counting_split)
         monkeypatch.setattr(finders, "select_weighted", counting_select)
+        monkeypatch.setattr(finders, "_step", counting_step)
         for m in range(3, 31):
             g = ms_layered(m)
             for v in range(g.n):
                 find_tree(g, v, 3)
         assert len(searches) <= 1329, f"{len(searches)} component searches; ceiling and measured 1,329"
         assert len(selections) <= 312, f"{len(selections)} selections; ceiling and measured 312"
+        assert len(steps) <= 10441, f"{len(steps)} steps; ceiling and measured 10,441"
+
+    @pytest.mark.parametrize(
+        "make, twins, shared",
+        [
+            # A 4-cycle 0 - 2 - 1 - 3 with the tail 2 - 4 - 5 - 6 - 7.  Vertex
+            # 2 sees both components of V \ N[0], {1} and the tail, so root
+            # 0's tree takes the singleton 1 and is root 1's as it stands.
+            (lambda: Graph(8, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 5), (5, 6), (6, 7)]),
+             (0, 1), True),
+            # No vertex of N(0) = {6, 7} sees every component, both are
+            # chosen, and the singleton 4, which both see, is left out, so
+            # root 4's tree is root 0's with 4 swapped in for 0.
+            (twins_apart, (0, 4), False),
+        ],
+        ids=["tree-holds-the-twin", "twin-swapped-in"],
+    )
+    def test_a_twin_takes_its_twins_tree_without_a_step(self, monkeypatch, make, twins, shared):
+        g = make()
+        first, second = twins
+        expected = {v: fresh_json(g, v, 3) for v in twins}
+        steps = []
+        step = finders._step
+
+        def counting_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(finders, "_step", counting_step)
+        cert = find_tree(g, first, 3)
+        assert cert.to_json() == expected[first]
+        assert cert.strategy == "decompose" and (second in cert.vertices) is shared
+        del steps[:]
+        assert find_tree(g, second, 3).to_json() == expected[second]
+        assert steps == []
 
     @pytest.mark.parametrize(
         "make, r, roots",
